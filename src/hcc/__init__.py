@@ -47,12 +47,12 @@ from .presentations import (
 )
 from .covers import (
     CoverComplex,
-    EquivariantBlock,
     HcVerdict,
     Homomorphism,
     IncompatibleHomomorphismError,
     build_cover,
     check_balance_pattern,
+    equivariant_block,
     hc_verdict,
     parse_homomorphism,
 )

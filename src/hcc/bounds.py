@@ -20,14 +20,17 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import covers, fpexact
 from .errors import FalsificationError
 from .fpexact import CapExceededError, check_prime
 from .groupring import FiltrationProfile, make_elementary_abelian
 from .omega import omega_by_convolution
-from .presentations import Presentation, complex_summary, reidemeister_schreier
+from .presentations import (
+    Presentation,
+    complex_summary,
+    exponent_sum_matrix,
+    reidemeister_schreier,
+)
 
 __all__ = [
     "BoundReport",
@@ -239,14 +242,8 @@ def abelianization_images(pres: Presentation, p: int) -> tuple[int, tuple[tuple[
     echelon form of the relator exponent matrix, so relators map to zero
     and the induced map onto the quotient is surjective.
     """
-    check_prime(p)
     n = pres.n_generators
-    rows = np.zeros((pres.n_relators, n), dtype=np.int64)
-    for i, rel in enumerate(pres.relators):
-        for g, s in rel.letters:
-            rows[i, g] += s
-    matrix = fpexact.FpMatrix(pres.n_relators, n, (rows % p).ravel(), p)
-    reduced, pivots = fpexact.rref(matrix)
+    reduced, pivots = fpexact.rref(exponent_sum_matrix(pres, p).transpose())
     free_cols = [c for c in range(n) if c not in pivots]
     r = len(free_cols)
     images = []

@@ -20,7 +20,7 @@ import json
 import sys
 from typing import Any
 
-from . import bounds, covers, groupring, omega, presentations, selfcheck
+from . import bounds, covers, fpexact, groupring, omega, presentations, selfcheck
 from .errors import FalsificationError
 
 __all__ = ["main"]
@@ -224,7 +224,8 @@ def _cmd_cover(args, out) -> int:
         "verdict": None,
     }
     verdict = None
-    if group.is_elementary_abelian() is not None and group.is_elementary_abelian()[0] == args.p:
+    ea = group.is_elementary_abelian()
+    if ea is not None and ea[0] == args.p:
         verdict = covers.hc_verdict(cover)
         payload["verdict"] = {
             "r": verdict.r,
@@ -251,7 +252,14 @@ def _cmd_bounds(args, out) -> int:
             raise _InputError("--actual needs --pres and --hom")
         pres = _load_presentation(args.pres)
         hom = covers.parse_homomorphism(_read_file(args.hom), pres, group)
+        if not hom.surjective:
+            raise _InputError("--actual needs a surjective --hom: the bounds are about its kernel")
         cover = covers.build_cover(pres, hom, args.p)
+        if (args.b1, args.d) != (cover.base.b1, pres.deficiency):
+            raise _InputError(
+                f"--b1 {args.b1} --d {args.d} disagree with --pres, which has "
+                f"b1 {cover.base.b1} and deficiency {pres.deficiency}"
+            )
         if cover.b1 < report.best_bound:
             payload = report.to_json_dict()
             payload.update(actual=cover.b1, tight=False, verdict="falsified")
@@ -359,6 +367,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        fpexact.entry_cap()  # a bad HCC_MATRIX_CAP fails every subcommand alike
         return args.func(args, sys.stdout)
     except FalsificationError as exc:
         sys.stderr.write(f"FALSIFIED: {exc}\n")

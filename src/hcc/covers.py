@@ -6,7 +6,9 @@ complex whose cells are indexed by H.  The degree-2 boundary map is a
 grid of |H| x |H| blocks, one per (relator, generator) pair; each block
 is equivariant (row g equals delta_g convolved with the identity row),
 so it is determined by a single seed row, which is the image of the Fox
-derivative of the relator under the homomorphism.  The degree-1
+derivative of the relator under the homomorphism.  The (relator,
+generator, element) array of seed rows is the cover's one
+representation; the boundary maps are scattered from it.  The degree-1
 boundary sends the 1-cell (g, generator j) to its endpoint difference.
 Betti numbers come from rank-nullity on the two boundary matrices.
 
@@ -23,20 +25,20 @@ from typing import Sequence
 
 import numpy as np
 
-from . import fpexact, groupring
+from . import fpexact
 from .errors import FalsificationError
 from .fpexact import FpMatrix, check_entry_count, check_prime
-from .groupring import GroupRingElement, OrderedGroup
+from .groupring import OrderedGroup
 from .presentations import ComplexSummary, FreeWord, Presentation, complex_summary, fox_derivative
 
 __all__ = [
     "CoverComplex",
-    "EquivariantBlock",
     "HcVerdict",
     "Homomorphism",
     "IncompatibleHomomorphismError",
     "build_cover",
     "check_balance_pattern",
+    "equivariant_block",
     "hc_verdict",
     "parse_homomorphism",
 ]
@@ -75,7 +77,7 @@ class Homomorphism:
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "images", images)
         for i, rel in enumerate(source.relators):
-            img = self._word_image(rel)
+            img = self.word_image(rel)
             if img != group.identity_index:
                 raise IncompatibleHomomorphismError(i, img, group.element_names[img])
         object.__setattr__(
@@ -85,17 +87,19 @@ class Homomorphism:
     def __setattr__(self, name, value):
         raise AttributeError("Homomorphism is immutable")
 
-    def _word_image(self, word: FreeWord) -> int:
+    def prefix_images(self, word: FreeWord) -> list[int]:
+        """Images of the prefixes of a free word, in one walk: entry k is
+        the index of the image of its first k letters."""
         g = self.group
-        out = g.identity_index
+        out = [g.identity_index]
         for j, s in word.letters:
             h = self.images[j] if s == 1 else g.inverse(self.images[j])
-            out = g.op(out, h)
+            out.append(g.op(out[-1], h))
         return out
 
     def word_image(self, word: FreeWord) -> int:
         """Index of the image of a free word in the target group."""
-        return self._word_image(word)
+        return self.prefix_images(word)[-1]
 
     def __repr__(self) -> str:
         pairs = ", ".join(
@@ -147,39 +151,13 @@ def parse_homomorphism(text: str, pres: Presentation, group: OrderedGroup) -> Ho
     return Homomorphism(pres, group, [assignments[n] for n in pres.generator_names])
 
 
-class EquivariantBlock:
-    """An |H| x |H| matrix determined by one seed row: row g is
-    delta_g * seed."""
-
-    __slots__ = ("group", "p", "seed_row")
-
-    def __init__(self, group: OrderedGroup, p: int, seed_row: GroupRingElement):
-        same_group = seed_row.group is group or seed_row.group.table_hash == group.table_hash
-        if not same_group or seed_row.p != p:
-            raise ValueError("seed row must live in F_p[group]")
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "seed_row", seed_row)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EquivariantBlock is immutable")
-
-    def row(self, g: int) -> GroupRingElement:
-        return groupring.ring_mul(GroupRingElement.delta(self.group, self.p, g), self.seed_row)
-
-    def materialize(self) -> np.ndarray:
-        n = self.group.size
-        out = np.zeros((n, n), dtype=np.int64)
-        rows = np.arange(n)[:, None]
-        out[rows, self.group.mult] = self.seed_row.coeffs[None, :]
-        return out
-
-    def matrix(self) -> FpMatrix:
-        return FpMatrix(self.group.size, self.group.size, self.materialize().ravel(), self.p)
-
-    @property
-    def balanced(self) -> bool:
-        return groupring.is_balanced(self.seed_row)
+def equivariant_block(group: OrderedGroup, seed: np.ndarray) -> np.ndarray:
+    """The |H| x |H| matrix whose row g is delta_g * seed: entry (g, gh)
+    is seed[h]."""
+    n = group.size
+    out = np.zeros((n, n), dtype=np.int64)
+    out[np.arange(n)[:, None], group.mult] = seed
+    return out
 
 
 @dataclass(frozen=True)
@@ -188,7 +166,7 @@ class CoverComplex:
 
     hom: Homomorphism
     p: int
-    blocks: tuple[tuple[EquivariantBlock, ...], ...]  # [relator][generator]
+    seeds: np.ndarray = field(compare=False)  # [relator, generator, element], mod p
     d2: FpMatrix  # |H|m x |H|n
     d1: FpMatrix  # |H|n x |H|
     b0: int
@@ -214,23 +192,20 @@ def build_cover(pres: Presentation, hom: Homomorphism, p: int) -> CoverComplex:
     check_entry_count(H * m * H * n, "degree-2 boundary matrix")
     check_entry_count(H * n * H, "degree-1 boundary matrix")
 
-    seeds: list[list[GroupRingElement]] = []
-    for rel in pres.relators:
-        row = []
+    seeds = np.zeros((m, n, H), dtype=np.int64)
+    for i, rel in enumerate(pres.relators):
+        images = hom.prefix_images(rel)
         for j in range(n):
-            coeffs = np.zeros(H, dtype=np.int64)
+            # fox_derivative's prefixes are the leading slices of rel
             for sign, prefix in fox_derivative(rel, j):
-                coeffs[hom.word_image(prefix)] += sign
-            row.append(GroupRingElement(group, p, coeffs))
-        seeds.append(row)
-    blocks = tuple(
-        tuple(EquivariantBlock(group, p, seeds[i][j]) for j in range(n)) for i in range(m)
-    )
+                seeds[i, j, images[len(prefix)]] += sign
+    seeds %= p
+    seeds.setflags(write=False)
 
-    d2_arr = np.zeros((H * m, H * n), dtype=np.int64)
+    d2_arr = np.zeros((m, H, n, H), dtype=np.int64)
     for i in range(m):
         for j in range(n):
-            d2_arr[i * H : (i + 1) * H, j * H : (j + 1) * H] = blocks[i][j].materialize()
+            d2_arr[i, :, j, :] = equivariant_block(group, seeds[i, j])
     d2 = FpMatrix(H * m, H * n, d2_arr.ravel(), p)
 
     d1_arr = np.zeros((H * n, H), dtype=np.int64)
@@ -242,7 +217,9 @@ def build_cover(pres: Presentation, hom: Homomorphism, p: int) -> CoverComplex:
             d1_arr[j * H + rows, rows] -= 1
     d1 = FpMatrix(H * n, H, (d1_arr % p).ravel(), p)
 
-    if m and not (d2 @ d1).is_zero():
+    # Row (i, g) of d2 @ d1 is delta_g times row (i, e), and row (i, e) of
+    # d2 is the seed row: checking the seed rows certifies d2 @ d1 = 0.
+    if not (FpMatrix(m, n * H, seeds.ravel(), p) @ d1).is_zero():
         raise RuntimeError("boundary maps do not compose to zero")
 
     r2 = fpexact.rank(d2)
@@ -258,7 +235,7 @@ def build_cover(pres: Presentation, hom: Homomorphism, p: int) -> CoverComplex:
     return CoverComplex(
         hom=hom,
         p=p,
-        blocks=blocks,
+        seeds=seeds,
         d2=d2,
         d1=d1,
         b0=b0,
@@ -275,7 +252,8 @@ def check_balance_pattern(cover: CoverComplex) -> tuple[tuple[bool, ...], ...]:
     balanced, i.e. the exponent sum of generator j in relator i vanishes
     mod p.  Over a presentation whose boundary matrix is diagonal, the
     unbalanced blocks sit exactly on the leading diagonal."""
-    return tuple(tuple(block.balanced for block in row) for row in cover.blocks)
+    balanced = cover.seeds.sum(axis=2) % cover.p == 0
+    return tuple(tuple(bool(b) for b in row) for row in balanced)
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,7 @@ __all__ = [
 
 DEFAULT_ENTRY_CAP = 1 << 22
 
-_entry_cap = int(os.environ.get("HCC_MATRIX_CAP", DEFAULT_ENTRY_CAP))
+_entry_cap: int | None = None  # read from HCC_MATRIX_CAP on first use
 
 
 class CapExceededError(ValueError):
@@ -54,6 +54,12 @@ class CapExceededError(ValueError):
 
 def entry_cap() -> int:
     """Current cap on the number of entries of a single matrix."""
+    if _entry_cap is None:
+        raw = os.environ.get("HCC_MATRIX_CAP", str(DEFAULT_ENTRY_CAP))
+        try:
+            set_entry_cap(int(raw))
+        except ValueError:
+            raise ValueError(f"HCC_MATRIX_CAP must be a positive integer, got {raw!r}") from None
     return _entry_cap
 
 
@@ -67,9 +73,10 @@ def set_entry_cap(cap: int) -> None:
 
 
 def check_entry_count(count: int, what: str = "matrix") -> None:
-    if count > _entry_cap:
+    cap = entry_cap()
+    if count > cap:
         raise CapExceededError(
-            f"{what} needs {count} entries, above the cap of {_entry_cap} "
+            f"{what} needs {count} entries, above the cap of {cap} "
             "(override with set_entry_cap() or HCC_MATRIX_CAP)"
         )
 

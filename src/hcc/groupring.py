@@ -322,9 +322,6 @@ class GroupRingElement:
     def coeff(self, h: int) -> int:
         return int(self._coeffs[h])
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.nonzero(self._coeffs)[0])
-
     def is_zero(self) -> bool:
         return not self._coeffs.any()
 
@@ -438,11 +435,6 @@ class FiltrationProfile:
         if k < 0:
             raise ValueError("k must be non-negative")
         return self.delta_dims[min(k, len(self.delta_dims) - 1)]
-
-    def basis_matrix(self, k: int) -> fpexact.FpMatrix:
-        """Row-reduced basis of the k-th power of the augmentation ideal."""
-        basis, _ = self._bases[min(k, len(self._bases) - 1)]
-        return fpexact.FpMatrix._wrap(basis.copy(), self.p)
 
     def contains(self, k: int, v: GroupRingElement) -> bool:
         """Membership of ``v`` in the k-th power, by reduction against the basis."""

@@ -222,9 +222,6 @@ class InequalitySuiteReport:
     def equality_params(self, name: str) -> tuple[tuple[int, ...], ...]:
         return tuple(row.params for row in self.family(name) if row.equality)
 
-    def holding_params(self, name: str) -> tuple[tuple[int, ...], ...]:
-        return tuple(row.params for row in self.family(name) if row.holds)
-
     def discipline_violations(self) -> tuple[str, ...]:
         """Mismatches against the expected pass/equality pattern."""
         bad: list[str] = []

@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import fpexact
-from .fpexact import FpMatrix, check_prime
+from .fpexact import FpMatrix, check_entry_count, check_prime
 
 __all__ = [
     "ComplexSummary",
@@ -39,6 +39,7 @@ __all__ = [
     "Presentation",
     "PresentationSyntaxError",
     "complex_summary",
+    "exponent_sum_matrix",
     "fox_derivative",
     "normalize_presentation",
     "parse_presentation",
@@ -81,6 +82,13 @@ class FreeWord:
         raise AttributeError("FreeWord is immutable")
 
     @classmethod
+    def _wrap(cls, letters: tuple[tuple[int, int], ...]) -> "FreeWord":
+        # internal: letters already freely reduced and validated
+        w = object.__new__(cls)
+        object.__setattr__(w, "letters", letters)
+        return w
+
+    @classmethod
     def empty(cls) -> "FreeWord":
         return cls(())
 
@@ -104,13 +112,8 @@ class FreeWord:
         return FreeWord(tuple((g, -s) for g, s in reversed(self.letters)))
 
     def __pow__(self, n: int) -> "FreeWord":
-        if n == 0:
-            return FreeWord.empty()
-        base = self if n > 0 else self.inverse()
-        out = FreeWord.empty()
-        for _ in range(abs(n)):
-            out = out * base
-        return out
+        base = self if n >= 0 else self.inverse()
+        return FreeWord(base.letters * abs(n))
 
     def exponent_sum(self, g: int) -> int:
         return sum(s for gg, s in self.letters if gg == g)
@@ -289,18 +292,13 @@ def fox_derivative(word: FreeWord, j: int) -> tuple[tuple[int, FreeWord], ...]:
     a positive occurrence of a_j contributes + (prefix before it); a
     negative occurrence contributes - (prefix including it).
     """
-    terms: list[tuple[int, FreeWord]] = []
-    prefix = FreeWord.empty()
-    for g, s in word.letters:
-        if s == 1:
-            if g == j:
-                terms.append((1, prefix))
-            prefix = prefix * FreeWord.generator(g, 1)
-        else:
-            prefix = prefix * FreeWord.generator(g, -1)
-            if g == j:
-                terms.append((-1, prefix))
-    return tuple(terms)
+    letters = word.letters
+    # every prefix of a reduced word is reduced, so prefixes are plain slices
+    return tuple(
+        (s, FreeWord._wrap(letters[: k if s == 1 else k + 1]))
+        for k, (g, s) in enumerate(letters)
+        if g == j
+    )
 
 
 @dataclass(frozen=True)
@@ -333,14 +331,22 @@ class ComplexSummary:
         return self.b0 + self.b1 + self.b2
 
 
-def complex_summary(pres: Presentation, p: int) -> ComplexSummary:
+def exponent_sum_matrix(pres: Presentation, p: int) -> FpMatrix:
+    """The n x m matrix whose (j, i) entry is the exponent sum of
+    generator j in relator i, reduced mod p."""
     check_prime(p)
     n, m = pres.n_generators, pres.n_relators
+    check_entry_count(n * m, "matrix")  # before allocating: a refused matrix costs no memory
     a = np.zeros((n, m), dtype=np.int64)
     for i, rel in enumerate(pres.relators):
         for g, s in rel.letters:
             a[g, i] += s
-    boundary = FpMatrix(n, m, (a % p).ravel(), p)
+    return FpMatrix(n, m, a.ravel(), p)
+
+
+def complex_summary(pres: Presentation, p: int) -> ComplexSummary:
+    n, m = pres.n_generators, pres.n_relators
+    boundary = exponent_sum_matrix(pres, p)
     r = fpexact.rank(boundary)
     b1 = n - r
     b2 = m - r

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hcc
 from hcc import cli, selfcheck
 
 
@@ -153,6 +157,29 @@ class TestBounds:
         payload = json.loads(out)
         assert payload["actual"] == 2 and payload["tight"] is True
 
+    def test_actual_rejects_b1_and_d_that_disagree_with_pres(self, torus_files, capsys):
+        pres, hom = torus_files
+        for b1, d in (("5", "1"), ("2", "0")):
+            code, out, err = run_cli(
+                ["bounds", "--b1", b1, "--d", d, "--p", "2", "--r", "2",
+                 "--actual", "--pres", pres, "--hom", hom],
+                capsys,
+            )
+            assert code == 1 and out == ""
+            assert "disagree with --pres, which has b1 2 and deficiency 1" in err
+
+    def test_actual_rejects_nonsurjective_hom(self, torus_files, tmp_path, capsys):
+        pres, _ = torus_files
+        hom = tmp_path / "diag.hom"
+        hom.write_text("a -> (1,0)\nb -> (1,0)\n")
+        code, out, err = run_cli(
+            ["bounds", "--b1", "2", "--d", "1", "--p", "2", "--r", "2",
+             "--actual", "--pres", pres, "--hom", str(hom)],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        assert "surjective" in err
+
     def test_inconsistent_input_is_input_error(self, capsys):
         code, _, err = run_cli(["bounds", "--b1", "0", "--d", "1", "--p", "2", "--r", "1"], capsys)
         assert code == 1 and "inconsistent" in err
@@ -167,6 +194,29 @@ class TestIterate:
         payload = json.loads(out)
         assert [st["b1"] for st in payload["stages"]] == [2, 3, 17]
         assert payload["truncated"] is False
+
+
+class TestMatrixCapVariable:
+    # HCC_MATRIX_CAP is read once per process, so each value gets its own
+    def run_hcc(self, cap, argv):
+        src = os.path.dirname(os.path.dirname(hcc.__file__))
+        env = {**os.environ, "HCC_MATRIX_CAP": cap, "PYTHONPATH": src}
+        return subprocess.run([sys.executable, "-m", "hcc.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_invalid_values_are_input_errors(self):
+        for cap in ("abc", "0", "-3"):
+            res = self.run_hcc(cap, ["omega", "--p", "2", "--r", "2"])
+            assert res.returncode == 1 and res.stdout == ""
+            assert res.stderr == f"error: HCC_MATRIX_CAP must be a positive integer, got {cap!r}\n"
+
+    def test_valid_value_is_the_cap(self, torus_files):
+        pres, hom = torus_files
+        argv = ["cover", "--pres", pres, "--hom", hom, "--p", "2"]
+        assert self.run_hcc("32", argv).returncode == 0  # d2 of this cover has 32 entries
+        res = self.run_hcc("31", argv)
+        assert res.returncode == 1
+        assert "needs 32 entries, above the cap of 31" in res.stderr
 
 
 class TestSelfcheckAndExitCodes:

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from hcc import corpus, covers
 from hcc.covers import (
-    EquivariantBlock,
     Homomorphism,
     IncompatibleHomomorphismError,
     build_cover,
     check_balance_pattern,
+    equivariant_block,
     hc_verdict,
     parse_homomorphism,
 )
@@ -16,9 +17,17 @@ from hcc.groupring import (
     OrderedGroup,
     make_cyclic,
     make_elementary_abelian,
+    make_product,
     ring_mul,
 )
-from hcc.presentations import complex_summary, normalize_presentation, parse_presentation
+from hcc.presentations import (
+    FreeWord,
+    Presentation,
+    complex_summary,
+    fox_derivative,
+    normalize_presentation,
+    parse_presentation,
+)
 
 TORUS = "< a, b | a b a^-1 b^-1 >"
 
@@ -103,8 +112,8 @@ class TestTorusGolden:
 
     def test_seed_rows(self):
         cover = torus_cover()
-        assert list(cover.blocks[0][0].seed_row.coeffs) == [1, 0, 1, 0]
-        assert list(cover.blocks[0][1].seed_row.coeffs) == [1, 1, 0, 0]
+        assert list(cover.seeds[0, 0]) == [1, 0, 1, 0]
+        assert list(cover.seeds[0, 1]) == [1, 1, 0, 0]
 
     def test_verdict_case_c(self):
         verdict = hc_verdict(torus_cover())
@@ -117,14 +126,18 @@ class TestEquivariance:
         cover = torus_cover()
         group = cover.group
         rng = np.random.default_rng(8)
-        for block in cover.blocks[0]:
-            mat = block.materialize()
+        for seed in cover.seeds[0]:
+            mat = equivariant_block(group, seed)
+
+            def row(g):
+                return ring_mul(GroupRingElement.delta(group, 2, g), GroupRingElement(group, 2, seed))
+
             for _ in range(6):
                 g, h = (int(x) for x in rng.integers(0, 4, size=2))
-                lhs = block.row(group.op(g, h))
-                rhs = ring_mul(GroupRingElement.delta(group, 2, g), block.row(h))
+                lhs = row(group.op(g, h))
+                rhs = ring_mul(GroupRingElement.delta(group, 2, g), row(h))
                 assert lhs == rhs
-                assert list(mat[g]) == list(block.row(g).coeffs)
+                assert list(mat[g]) == list(row(g).coeffs)
 
     def test_action_is_convolution(self):
         rng = np.random.default_rng(15)
@@ -132,8 +145,7 @@ class TestEquivariance:
         for _ in range(5):
             v = GroupRingElement(group, 3, rng.integers(0, 3, size=9))
             w = GroupRingElement(group, 3, rng.integers(0, 3, size=9))
-            block = EquivariantBlock(group, 3, w)
-            acted = GroupRingElement(group, 3, (v.coeffs @ block.materialize()) % 3)
+            acted = GroupRingElement(group, 3, (v.coeffs @ equivariant_block(group, w.coeffs)) % 3)
             assert acted == ring_mul(v, w)
 
 
@@ -195,6 +207,88 @@ class TestBuildCover:
                 reference.b1,
                 reference.b2,
             )
+
+
+def reference_d2(pres, hom, p):
+    """d2 by the defining loop: Fox terms, one word image per prefix, and
+    row g of each block as delta_g * seed in the group ring."""
+    group = hom.group
+    rows = []
+    for rel in pres.relators:
+        seeds = []
+        for j in range(pres.n_generators):
+            seed = GroupRingElement.zero(group, p)
+            for sign, prefix in fox_derivative(rel, j):
+                seed = seed + (sign % p) * GroupRingElement.delta(group, p, hom.word_image(prefix))
+            seeds.append(seed)
+        for g in range(group.size):
+            delta = GroupRingElement.delta(group, p, g)
+            rows.append(np.concatenate([ring_mul(delta, seed).coeffs for seed in seeds]))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), group.size * pres.n_generators)
+
+
+def symmetric_group_3():
+    perms = [(0, 1, 2), (1, 0, 2), (0, 2, 1), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+    index = {perm: i for i, perm in enumerate(perms)}
+    return OrderedGroup([[index[tuple(a[b[k]] for k in range(3))] for b in perms] for a in perms])
+
+
+def random_case(rng):
+    """A random presentation (<= 4 generators, <= 3 relators) with a
+    compatible map onto an abelian, cyclic, product or nonabelian group."""
+    p = int(rng.choice([2, 3, 5]))
+    group = [
+        make_elementary_abelian(2, 2),
+        make_elementary_abelian(3, 2),
+        make_cyclic(int(rng.integers(2, 7))),
+        make_product(make_cyclic(2), make_cyclic(3)),
+        symmetric_group_3(),
+    ][int(rng.integers(0, 5))]
+    n = int(rng.integers(1, 5))
+    images = [int(x) for x in rng.integers(0, group.size, size=n)]
+    letters = [(j, 1) for j in range(n)] + [(j, -1) for j in range(n)]
+    # shortest word for each element of the image subgroup, by breadth-first search
+    word_for = {group.identity_index: ()}
+    frontier = [group.identity_index]
+    while frontier:
+        nxt = []
+        for h in frontier:
+            for j, s in letters:
+                g = group.op(h, images[j] if s == 1 else group.inverse(images[j]))
+                if g not in word_for:
+                    word_for[g] = word_for[h] + ((j, s),)
+                    nxt.append(g)
+        frontier = nxt
+    names = tuple("abcd"[:n])
+    hom0 = Homomorphism(Presentation(names, ()), group, images)
+    relators = []
+    for _ in range(int(rng.integers(0, 4))):
+        w = FreeWord([letters[int(k)] for k in rng.integers(0, 2 * n, size=int(rng.integers(1, 13)))])
+        # close the word up so that it maps to the identity
+        relators.append(w * FreeWord(word_for[group.inverse(hom0.word_image(w))]))
+    pres = Presentation(names, tuple(relators))
+    return pres, Homomorphism(pres, group, images), p
+
+
+class TestSeedAssembly:
+    def test_d2_matches_reference_on_corpus(self):
+        for item in corpus.CORPUS:
+            pres, _, hom = corpus.build_item(item)
+            cover = build_cover(pres, hom, item.p)
+            assert np.array_equal(cover.d2.array, reference_d2(pres, hom, item.p)), item.name
+
+    def test_d2_matches_reference_on_random_cases(self):
+        rng = np.random.default_rng(20241018)
+        for _ in range(60):
+            pres, hom, p = random_case(rng)
+            cover = build_cover(pres, hom, p)
+            assert np.array_equal(cover.d2.array, reference_d2(pres, hom, p)), (pres, hom, p)
+
+    def test_dropped_fox_term_is_caught(self, monkeypatch):
+        fox = covers.fox_derivative
+        monkeypatch.setattr(covers, "fox_derivative", lambda w, j: fox(w, j)[1:] if j == 0 else fox(w, j))
+        with pytest.raises(RuntimeError, match="boundary maps do not compose to zero"):
+            torus_cover()
 
 
 class TestBalancePattern:

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from hcc import fpexact
 from hcc.covers import Homomorphism
-from hcc.fpexact import block_diagonal, smith_normal_form
+from hcc.fpexact import CapExceededError, block_diagonal, smith_normal_form
 from hcc.groupring import GroupRingElement, make_cyclic, make_elementary_abelian, ring_mul
 from hcc.presentations import (
     FreeWord,
@@ -35,6 +38,15 @@ class TestFreeWord:
         assert (a**3).letters == ((0, 1),) * 3
         assert (a**-2).letters == ((0, -1),) * 2
         assert (a**0).letters == ()
+        # words that cancel cyclically, against repeated multiplication
+        rng = np.random.default_rng(4)
+        for _ in range(30):
+            w = FreeWord([(int(rng.integers(0, 2)), int(rng.choice([1, -1]))) for _ in range(5)])
+            for n in range(-3, 4):
+                expected = FreeWord.empty()
+                for _ in range(abs(n)):
+                    expected = expected * (w if n > 0 else w.inverse())
+                assert w**n == expected
 
     def test_exponent_sum(self):
         w = FreeWord([(0, 1), (1, 1), (0, 1), (1, -1)])
@@ -196,6 +208,22 @@ class TestComplexSummary:
         assert s.boundary.to_rows() == [[2, 0], [4, 0], [0, 3]]
         assert s.rank == pres.n_generators - s.b1
         assert s.euler == 1 - s.b1 + s.b2
+
+    def test_cap_checked_before_allocation(self):
+        n = m = 1500
+        names = tuple(f"x{j}" for j in range(n))
+        pres = Presentation(names, tuple(FreeWord.generator(i) for i in range(m)))
+        old = fpexact.entry_cap()
+        tracemalloc.start()
+        try:
+            fpexact.set_entry_cap(n * m - 1)
+            with pytest.raises(CapExceededError, match="matrix needs 2250000 entries"):
+                complex_summary(pres, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            fpexact.set_entry_cap(old)
+        assert peak < n * m  # the refused int64 matrix would take 8 * n * m bytes
 
     def test_augmentation_of_fox_terms_gives_entries(self):
         pres = parse_presentation("< a, b | a b a b^-1 >")
