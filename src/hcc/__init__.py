@@ -4,6 +4,7 @@ Halperin-Carlsson verdicts with equality classification."""
 
 from .errors import FalsificationError
 from .fpexact import (
+    MAX_PRIME,
     CapExceededError,
     ElementaryOp,
     FpMatrix,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from . import covers, fpexact
 from .errors import FalsificationError
-from .fpexact import CapExceededError, check_prime
+from .fpexact import CapExceededError, check_entry_count, check_prime
 from .groupring import FiltrationProfile, make_elementary_abelian
 from .omega import omega_by_convolution
 from .presentations import (
@@ -310,7 +310,12 @@ def growth_iterate(pres: Presentation, p: int, steps: int) -> GrowthResult:
         r = summary.b1
         if r == 0:
             break
+        index = p**r
         try:
+            # refuse from the Nielsen-Schreier counts before building anything
+            check_entry_count(index * index, "multiplication table")
+            kernel_gens = index * (current.n_generators - 1) + 1
+            check_entry_count(kernel_gens * index * current.n_relators, "matrix")
             target = make_elementary_abelian(p, r)
             _, coord_images = abelianization_images(current, p)
             images = [target.ea_index[c] for c in coord_images]
@@ -320,7 +325,7 @@ def growth_iterate(pres: Presentation, p: int, steps: int) -> GrowthResult:
         except CapExceededError as exc:
             return GrowthResult(p=p, stages=tuple(stages), truncated=True, reason=str(exc))
         stage = GrowthStage(
-            index=p**r,
+            index=index,
             b1=kernel_summary.b1,
             n_generators=kernel_pres.n_generators,
             n_relators=kernel_pres.n_relators,

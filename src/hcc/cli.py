@@ -16,6 +16,7 @@ Output is deterministic: JSON by default, TSV for tables via
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Any
@@ -304,6 +305,7 @@ def _cmd_selfcheck(args, out) -> int:
     return 0
 
 
+@functools.cache  # built on the first call, then reused: parse_args leaves it unchanged
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="hcc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -361,9 +363,8 @@ def _build_parser() -> _ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

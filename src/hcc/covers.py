@@ -61,10 +61,12 @@ class Homomorphism:
 
     Compatibility (every relator maps to the identity) is enforced at
     construction; ``surjective`` records whether the images generate the
-    whole target.
+    whole target.  ``letter_action[s][j]`` is the list ``group.mult[:, h]``
+    for h the image of a_j^s (s = +-1): entry x is x h, so every word walk
+    steps one letter by one list lookup.
     """
 
-    __slots__ = ("source", "group", "images", "surjective")
+    __slots__ = ("source", "group", "images", "letter_action", "surjective")
 
     def __init__(self, source: Presentation, group: OrderedGroup, images: Sequence[int]):
         images = tuple(int(x) for x in images)
@@ -76,6 +78,11 @@ class Homomorphism:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "images", images)
+        inverses = [group.inverse(h) for h in images]
+        column = {h: group.mult[:, h].tolist() for h in {*images, *inverses}}  # one list per element
+        object.__setattr__(self, "letter_action", {
+            1: tuple(column[h] for h in images), -1: tuple(column[h] for h in inverses)
+        })
         for i, rel in enumerate(source.relators):
             img = self.word_image(rel)
             if img != group.identity_index:
@@ -90,11 +97,12 @@ class Homomorphism:
     def prefix_images(self, word: FreeWord) -> list[int]:
         """Images of the prefixes of a free word, in one walk: entry k is
         the index of the image of its first k letters."""
-        g = self.group
-        out = [g.identity_index]
+        act = self.letter_action
+        x = self.group.identity_index
+        out = [x]
         for j, s in word.letters:
-            h = self.images[j] if s == 1 else g.inverse(self.images[j])
-            out.append(g.op(out[-1], h))
+            x = act[s][j][x]
+            out.append(x)
         return out
 
     def word_image(self, word: FreeWord) -> int:

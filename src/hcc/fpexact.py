@@ -29,6 +29,7 @@ __all__ = [
     "DEFAULT_ENTRY_CAP",
     "ElementaryOp",
     "FpMatrix",
+    "MAX_PRIME",
     "SnfResult",
     "block_diagonal",
     "check_entry_count",
@@ -44,6 +45,8 @@ __all__ = [
 ]
 
 DEFAULT_ENTRY_CAP = 1 << 22
+
+MAX_PRIME = 1048573  # largest prime below 2^20: residue products stay below 2^40 in int64
 
 _entry_cap: int | None = None  # read from HCC_MATRIX_CAP on first use
 
@@ -97,6 +100,8 @@ def is_prime(p: int) -> bool:
 
 
 def check_prime(p: int) -> None:
+    if isinstance(p, int) and p > MAX_PRIME:  # decided before any trial division
+        raise ValueError(f"modulus must be a prime integer, at most MAX_PRIME = {MAX_PRIME}, got {p}")
     if not isinstance(p, int) or not is_prime(p):
         raise ValueError(f"modulus must be a prime integer, got {p!r}")
 
@@ -309,16 +314,17 @@ def _echelon(a: np.ndarray, p: int, reduced: bool = False) -> list[int]:
         i = r + int(nz[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
+        # rows r.. vanish left of column c, so only columns c.. change
         piv = int(a[r, c])
         if piv != 1:
-            a[r] = a[r] * inv_mod(piv, p) % p
+            a[r, c:] = a[r, c:] * inv_mod(piv, p) % p
         below = r + 1 + np.nonzero(a[r + 1 :, c])[0]
         if below.size:
-            a[below] = (a[below] - np.outer(a[below, c], a[r])) % p
+            a[below, c:] = (a[below, c:] - np.outer(a[below, c], a[r, c:])) % p
         if reduced and r:
             above = np.nonzero(a[:r, c])[0]
             if above.size:
-                a[above] = (a[above] - np.outer(a[above, c], a[r])) % p
+                a[above, c:] = (a[above, c:] - np.outer(a[above, c], a[r, c:])) % p
         pivots.append(c)
         r += 1
     return pivots

@@ -19,7 +19,8 @@ Presentation text grammar::
     word := term+        term := ident ('^' signed-int)?
 
 Exponents other than +-1 expand to repeated letters, e.g.
-``< a, b | a b a^-1 b^-1 >``.
+``< a, b | a b a^-1 b^-1 >``; the letters of a whole presentation count
+against the entry cap, checked before each term is expanded.
 """
 
 from __future__ import annotations
@@ -224,6 +225,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.count = 0  # letters of the presentation so far, capped like a matrix
 
     def peek(self):
         return self.tokens[self.pos]
@@ -271,6 +273,8 @@ class _Parser:
                 tok = self.take("int")
                 exponent = int(tok[1])
             sign = 1 if exponent >= 0 else -1
+            self.count += abs(exponent)
+            check_entry_count(self.count, "presentation")  # before a^k is expanded
             letters.extend(((index[name], sign),) * abs(exponent))
             saw_term = True
         if not saw_term:
@@ -403,80 +407,54 @@ def normalize_presentation(pres: Presentation, p: int) -> Presentation:
     return result
 
 
-def _letter_order(n: int) -> tuple[tuple[int, int], ...]:
-    # positive letters in generator order, then the inverse letters
-    return tuple((j, 1) for j in range(n)) + tuple((j, -1) for j in range(n))
-
-
 def reidemeister_schreier(pres: Presentation, hom) -> Presentation:
     """Presentation of the kernel of ``hom`` by Schreier rewriting.
 
-    Cosets are the elements of the image of ``hom``; representatives come
-    from a breadth-first search over letters (all positive letters in
-    generator order, then the inverses), so they are shortlex minimal for
-    that alphabet order and prefix closed.  Kernel generators are the
-    nontrivial Schreier elements rep(c) a_j rep(c a_j)^{-1}, named
+    Cosets are the elements of the image of ``hom``, numbered in the
+    order a breadth-first search over letters (all positive letters in
+    generator order, then the inverses) reaches them; the search tree is
+    a Schreier transversal.  The Schreier generator of a (coset c,
+    generator j) pair is freely trivial exactly when its letter is a tree
+    edge, so the kernel generators are the pairs off the tree, named
     ``<generator>_<coset>``; each relator contributes one rewritten copy
     per coset (relator-major order).
     """
-    group = hom.group
     if hom.source is not pres and hom.source.to_text() != pres.to_text():
         raise ValueError("homomorphism was built from a different presentation")
     n = pres.n_generators
-    images = hom.images
-    inverse_images = tuple(group.inverse(h) for h in images)
-
-    def step(elt: int, letter: tuple[int, int]) -> int:
-        j, s = letter
-        return group.op(elt, images[j] if s == 1 else inverse_images[j])
-
-    # breadth-first transversal over the image subgroup
-    start = group.identity_index
-    coset_of = {start: 0}
-    reps: list[FreeWord] = [FreeWord.empty()]
-    elements = [start]
-    queue = [0]
-    letters = _letter_order(n)
-    while queue:
-        c = queue.pop(0)
-        for letter in letters:
-            target = step(elements[c], letter)
-            if target not in coset_of:
-                coset_of[target] = len(elements)
-                elements.append(target)
-                reps.append(reps[c] * FreeWord.generator(*letter))
-                queue.append(len(elements) - 1)
-    index = len(elements)
-
-    def coset_act(c: int, letter: tuple[int, int]) -> int:
-        return coset_of[step(elements[c], letter)]
-
-    # Schreier generators: (coset, generator) pairs whose element is nontrivial
-    gen_id: dict[tuple[int, int], int] = {}
+    act = hom.letter_action
+    elements = [hom.group.identity_index]
+    coset_of = {elements[0]: 0}
+    tree = set()  # (c, j): the letter a_j leaving coset c is a tree edge
+    for c, x in enumerate(elements):  # grows while it is walked: breadth first
+        for s in (1, -1):
+            for j in range(n):
+                target = act[s][j][x]
+                if target not in coset_of:
+                    coset_of[target] = len(elements)
+                    tree.add((c, j) if s == 1 else (len(elements), j))
+                    elements.append(target)
+    up = [[coset_of[act[1][j][x]] for j in range(n)] for x in elements]
+    down = [[coset_of[act[-1][j][x]] for j in range(n)] for x in elements]
+    gen_id: list[list[int | None]] = [[None] * n for _ in elements]
     names: list[str] = []
-    for c in range(index):
+    for c in range(len(elements)):
         for j in range(n):
-            word = reps[c] * FreeWord.generator(j, 1) * reps[coset_act(c, (j, 1))].inverse()
-            if word:
-                gen_id[(c, j)] = len(names)
+            if (c, j) not in tree:
+                gen_id[c][j] = len(names)
                 names.append(f"{pres.generator_names[j]}_{c}")
 
     def rewrite(word: FreeWord, c: int) -> FreeWord:
         out: list[tuple[int, int]] = []
         for j, s in word.letters:
+            if s == -1:
+                c = down[c][j]
+            k = gen_id[c][j]
+            if k is not None:
+                out.append((k, s))
             if s == 1:
-                key = (c, j)
-                if key in gen_id:
-                    out.append((gen_id[key], 1))
-                c = coset_act(c, (j, 1))
-            else:
-                c = coset_act(c, (j, -1))
-                key = (c, j)
-                if key in gen_id:
-                    out.append((gen_id[key], -1))
+                c = up[c][j]
         return FreeWord(out)
 
-    relators = tuple(
-        rewrite(rel, c) for rel in pres.relators for c in range(index)
-    )
+    relators = tuple(rewrite(rel, c) for rel in pres.relators for c in range(len(elements)))
     return Presentation(tuple(names), relators)

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from hcc import corpus
+from hcc import bounds, corpus, fpexact
 from hcc.bounds import (
     abelianization_images,
     bound_elementary_abelian,
@@ -208,6 +208,39 @@ class TestGrowth:
         assert res.truncated
         assert res.b1_sequence() == (2, 5, 129)
         assert res.reason and "cap" in res.reason
+
+    def test_refused_stage_builds_nothing(self, monkeypatch):
+        # the caps are checked from the Nielsen-Schreier counts, so a
+        # refused stage builds neither its target table nor its kernel
+        calls = {"table": 0, "kernel": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name, key in (("make_elementary_abelian", "table"), ("reidemeister_schreier", "kernel")):
+            monkeypatch.setattr(bounds, name, counting(key, getattr(bounds, name)))
+        old = fpexact.entry_cap()
+        fpexact.set_entry_cap(fpexact.DEFAULT_ENTRY_CAP)
+        try:
+            res = growth_iterate(parse_presentation("< a, b, c | a b a^-1 b^-1 >"), 2, 2)
+            assert res.b1_sequence() == (3, 11) and res.truncated
+            assert res.reason == (
+                "matrix needs 536887296 entries, above the cap of 4194304 "
+                "(override with set_entry_cap() or HCC_MATRIX_CAP)"
+            )
+            assert calls == {"table": 1, "kernel": 1}  # the first stage only
+            res = growth_iterate(parse_presentation("< a, b | a a a >"), 3, 3)
+            assert res.b1_sequence() == (2, 7) and res.truncated
+            assert res.reason == (
+                "multiplication table needs 4782969 entries, above the cap of 4194304 "
+                "(override with set_entry_cap() or HCC_MATRIX_CAP)"
+            )
+            assert calls == {"table": 2, "kernel": 2}
+        finally:
+            fpexact.set_entry_cap(old)
 
 
 class TestCorpusSweep:

@@ -79,6 +79,17 @@ class TestRing:
         code, _, err = run_cli(["ring", "--p", "2"], capsys)
         assert code == 1 and "target group" in err
 
+    def test_one_parser_and_no_leaking_defaults(self, capsys):
+        # the parser is built once per process: options of one call must
+        # not carry over to the next
+        code, out, _ = run_cli(["ring", "--p", "2", "--cyclic", "4", "--k-max", "1"], capsys)
+        assert code == 0 and json.loads(out)["delta_dims"] == [4, 3]
+        code, out, _ = run_cli(["ring", "--p", "2", "--cyclic", "4"], capsys)
+        assert code == 0 and json.loads(out)["delta_dims"] == [4, 3, 2, 1, 0]
+        code, _, err = run_cli(["ring", "--p", "2", "--cyclic"], capsys)
+        assert code == 1 and "expected one argument" in err
+        assert cli._build_parser() is cli._build_parser()
+
 
 class TestPresent:
     def test_summary_with_normalize(self, tmp_path, capsys):
@@ -90,6 +101,15 @@ class TestPresent:
         assert payload["boundary"] == [[1, 0], [1, 1]]
         assert payload["normalized"]["boundary"] == [[1, 0], [0, 1]]
         assert payload["normalized"]["diagonal"] == [1, 1]
+
+    def test_prime_above_max_prime_is_input_error(self, tmp_path, capsys):
+        pres = tmp_path / "p.pres"
+        pres.write_text("< a | a a >\n")
+        code, out, err = run_cli(["present", "--pres", str(pres), "--p", "1048583"], capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: modulus must be a prime integer, at most MAX_PRIME = {hcc.MAX_PRIME}, got 1048583\n"
+        code, out, _ = run_cli(["present", "--pres", str(pres), "--p", str(hcc.MAX_PRIME)], capsys)
+        assert code == 0 and json.loads(out)["boundary"] == [[2]]
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         pres = tmp_path / "bad.pres"
@@ -217,6 +237,15 @@ class TestMatrixCapVariable:
         res = self.run_hcc("31", argv)
         assert res.returncode == 1
         assert "needs 32 entries, above the cap of 31" in res.stderr
+
+    def test_presentation_letters_are_capped(self, tmp_path):
+        pres = tmp_path / "long.pres"
+        pres.write_text("< a | a^1001 >\n")
+        argv = ["present", "--pres", str(pres), "--p", "2"]
+        res = self.run_hcc("1000", argv)
+        assert res.returncode == 1 and res.stdout == ""
+        assert res.stderr.startswith("error: presentation needs 1001 entries, above the cap of 1000")
+        assert self.run_hcc("1001", argv).returncode == 0
 
 
 class TestSelfcheckAndExitCodes:

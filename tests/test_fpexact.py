@@ -3,6 +3,7 @@ import pytest
 
 from hcc import fpexact
 from hcc.fpexact import (
+    MAX_PRIME,
     CapExceededError,
     ElementaryOp,
     FpMatrix,
@@ -22,13 +23,13 @@ TORUS_B = [
 ]
 
 
-def reference_rank(rows, p):
-    """Independent plain-Python elimination used as the oracle."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return 0
+def reference_rref(rows, p):
+    """Independent plain-Python Gauss-Jordan elimination used as the
+    oracle: the reduced row-echelon form and its pivot columns."""
+    rows = [[x % p for x in r] for r in rows]
+    pivots = []
     rk = 0
-    for c in range(len(rows[0])):
+    for c in range(len(rows[0]) if rows else 0):
         piv = next((i for i in range(rk, len(rows)) if rows[i][c] % p), None)
         if piv is None:
             continue
@@ -39,8 +40,22 @@ def reference_rank(rows, p):
             if i != rk and rows[i][c] % p:
                 f = rows[i][c]
                 rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rk])]
+        pivots.append(c)
         rk += 1
-    return rk
+    return rows, tuple(pivots)
+
+
+def reference_rank(rows, p):
+    return len(reference_rref(rows, p)[1])
+
+
+def random_matrix(rng, p, max_side=64):
+    """A random matrix over F_p, often with zero columns and zero rows."""
+    rows, cols = (int(x) for x in rng.integers(1, max_side, size=2))
+    data = rng.integers(0, p, size=(rows, cols))
+    data[:, rng.random(cols) < 0.25] = 0
+    data[rng.random(rows) < 0.15] = 0
+    return data
 
 
 class TestRank:
@@ -127,12 +142,13 @@ class TestSmithNormalForm:
 
     def test_fuzz_rank_against_reference(self):
         rng = np.random.default_rng(13)
-        for p in (2, 3, 5):
+        for p in (2, 3, 5, MAX_PRIME):
             for _ in range(20):
-                rows, cols = (int(x) for x in rng.integers(1, 64, size=2))
-                data = rng.integers(0, p, size=(rows, cols))
-                m = FpMatrix(rows, cols, data.ravel(), p)
-                assert smith_normal_form(m).rank == reference_rank(data.tolist(), p)
+                data = random_matrix(rng, p)
+                m = FpMatrix(*data.shape, data.ravel(), p)
+                expected = reference_rank(data.tolist(), p)
+                assert smith_normal_form(m).rank == expected
+                assert rank(m) == expected
 
 
 def test_product_rank_bound():
@@ -152,6 +168,23 @@ def test_rref_pivots_and_shape():
     for r, c in enumerate(pivots):
         col = reduced.column(c)
         assert col[r] == 1 and sum(col) == 1
+    # zero columns are skipped, and the pivot rows are reduced above and below
+    m = FpMatrix.from_rows([[0, 0, 2, 0, 1], [0, 0, 1, 0, 1], [0, 0, 0, 0, 0]], 5)
+    reduced, pivots = rref(m)
+    assert pivots == (2, 4)
+    assert reduced.to_rows() == [[0, 0, 1, 0, 0], [0, 0, 0, 0, 1], [0, 0, 0, 0, 0]]
+
+
+def test_rref_against_reference():
+    # the reduced form is unique, so it must match the oracle entry for entry
+    rng = np.random.default_rng(29)
+    for p in (2, 3, 7, MAX_PRIME):
+        for _ in range(25):
+            data = random_matrix(rng, p, max_side=24)
+            reduced, pivots = rref(FpMatrix(*data.shape, data.ravel(), p))
+            expected_rows, expected_pivots = reference_rref(data.tolist(), p)
+            assert pivots == expected_pivots
+            assert reduced.to_rows() == expected_rows
 
 
 class TestValidation:
@@ -160,6 +193,16 @@ class TestValidation:
             FpMatrix.from_rows([[1]], 4)
         with pytest.raises(ValueError):
             FpMatrix.from_rows([[1]], 1)
+        # 1048583 is prime, but above MAX_PRIME the int64 kernels could overflow
+        with pytest.raises(ValueError, match=f"at most MAX_PRIME = {MAX_PRIME}, got 1048583$"):
+            FpMatrix.from_rows([[1]], 1048583)
+        assert FpMatrix.from_rows([[MAX_PRIME + 1]], MAX_PRIME).to_rows() == [[1]]
+
+    def test_max_prime(self):
+        assert fpexact.is_prime(MAX_PRIME) and MAX_PRIME < 2**20
+        assert not any(fpexact.is_prime(q) for q in range(MAX_PRIME + 1, 2**20))
+        m = FpMatrix.from_rows([[MAX_PRIME - 1, MAX_PRIME - 1], [1, 1]], MAX_PRIME)
+        assert (m @ m).is_zero()
 
     def test_entries_reduced(self):
         m = FpMatrix.from_rows([[7, -1]], 5)

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hcc import fpexact
+from hcc import corpus, fpexact
 from hcc.covers import Homomorphism
 from hcc.fpexact import CapExceededError, block_diagonal, smith_normal_form
 from hcc.groupring import GroupRingElement, make_cyclic, make_elementary_abelian, ring_mul
@@ -17,6 +17,7 @@ from hcc.presentations import (
     parse_presentation,
     reidemeister_schreier,
 )
+from test_covers import random_case
 
 
 class TestFreeWord:
@@ -96,6 +97,26 @@ class TestParser:
         for bad in ("a, b | >", "< a, b >", "< a | a ^ >", "< a | a > trailing", "< | a >", "< a | , >"):
             with pytest.raises(PresentationSyntaxError):
                 parse_presentation(bad)
+
+    def test_letter_cap_before_expansion(self):
+        old = fpexact.entry_cap()
+        tracemalloc.start()
+        try:
+            fpexact.set_entry_cap(1000)
+            assert len(parse_presentation("< a | a^1000 >").relators[0]) == 1000
+            with pytest.raises(CapExceededError, match="presentation needs 1001 entries"):
+                parse_presentation("< a | a^1001 >")
+            # the count runs over the whole presentation
+            with pytest.raises(CapExceededError, match="presentation needs 1001 entries"):
+                parse_presentation("< a, b | a^600, b b^399 a^-1 >")
+            tracemalloc.reset_peak()
+            with pytest.raises(CapExceededError):
+                parse_presentation("< a | a^10000000 >")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            fpexact.set_entry_cap(old)
+        assert peak < 1 << 20  # the expanded word would take 80 MB
 
     def test_bad_character(self):
         with pytest.raises(PresentationSyntaxError) as info:
@@ -270,7 +291,76 @@ class TestNormalize:
                 assert b.boundary == block_diagonal(snf.diagonal, n, m, p)
 
 
+def reference_reidemeister_schreier(pres, hom):
+    """Word-based Reidemeister-Schreier: explicit representative words and
+    Schreier words, cosets stepped by group operations.  Also returns
+    the Schreier word of each kernel generator."""
+    group, n = hom.group, pres.n_generators
+
+    def act(x, j, s):
+        return group.op(x, hom.images[j] if s == 1 else group.inverse(hom.images[j]))
+
+    order = [group.identity_index]
+    reps = {order[0]: FreeWord.empty()}
+    for x in order:
+        for s in (1, -1):
+            for j in range(n):
+                y = act(x, j, s)
+                if y not in reps:
+                    reps[y] = reps[x] * FreeWord.generator(j, s)
+                    order.append(y)
+    gen_id, names, schreier = {}, [], []
+    for c, x in enumerate(order):
+        for j in range(n):
+            word = reps[x] * FreeWord.generator(j) * reps[act(x, j, 1)].inverse()
+            if word:
+                gen_id[(x, j)] = len(names)
+                names.append(f"{pres.generator_names[j]}_{c}")
+                schreier.append(word)
+
+    def rewrite(word, x):
+        out = []
+        for j, s in word.letters:
+            if s == -1:
+                x = act(x, j, -1)
+            if (x, j) in gen_id:
+                out.append((gen_id[(x, j)], s))
+            if s == 1:
+                x = act(x, j, 1)
+        return FreeWord(out)
+
+    relators = tuple(rewrite(rel, x) for rel in pres.relators for x in order)
+    return Presentation(tuple(names), relators), schreier, [reps[x] for x in order]
+
+
+def check_against_reference(pres, hom):
+    kernel = reidemeister_schreier(pres, hom)
+    expected, schreier, reps = reference_reidemeister_schreier(pres, hom)
+    assert kernel == expected, (pres, hom)
+    # substituting the Schreier words back gives the conjugates rep rel rep^-1
+    rewritten = iter(kernel.relators)
+    for rel in pres.relators:
+        for rep in reps:
+            word = next(rewritten).map_letters(lambda g, s: (schreier[g] ** s).letters)
+            assert word == rep * rel * rep.inverse()
+
+
 class TestReidemeisterSchreier:
+    def test_matches_word_reference_on_corpus(self):
+        for item in corpus.CORPUS:
+            pres, _, hom = corpus.build_item(item)
+            check_against_reference(pres, hom)
+
+    def test_matches_word_reference_on_random_cases(self):
+        rng = np.random.default_rng(20261018)
+        kinds = set()
+        for _ in range(240):
+            pres, hom, _ = random_case(rng)
+            check_against_reference(pres, hom)
+            kinds.add((hom.group.size, hom.group.is_abelian(), hom.surjective))
+        assert (6, False, True) in kinds  # S3
+        assert any(not surjective for _, _, surjective in kinds)
+
     def test_free_rank_three_kernel(self):
         pres = parse_presentation("< a, b | >")
         hom = Homomorphism(pres, make_elementary_abelian(2, 1), [1, 0])
@@ -355,3 +445,14 @@ class TestReidemeisterSchreier:
             assert complex_summary(kernel, p).b1 == cover.b1
             assert cover.b0 == 1
             cases += 1
+        # cyclic, product and S3 targets, and maps that are not onto: the
+        # cover has b0 components, each the kernel's cover
+        rng = np.random.default_rng(21)
+        components = set()
+        for _ in range(80):
+            pres, hom, p = random_case(rng)
+            cover = build_cover(pres, hom, p)
+            kernel = reidemeister_schreier(pres, hom)
+            assert cover.b1 == cover.b0 * complex_summary(kernel, p).b1, (pres, hom, p)
+            components.add(cover.b0)
+        assert len(components) > 1
