@@ -48,6 +48,10 @@ DEFAULT_ENTRY_CAP = 1 << 22
 
 MAX_PRIME = 1048573  # largest prime below 2^20: residue products stay below 2^40 in int64
 
+PANEL = 64  # _echelon's panel width; PANEL * (MAX_PRIME - 1)^2 < 2^53 keeps panel products exact
+DEFER_ENTRIES = 4096  # updates touching at least this many trailing entries are deferred
+_FLUSH_ROWS = 128  # rows per chunk of a deferred panel product, to bound its temporaries
+
 _entry_cap: int | None = None  # read from HCC_MATRIX_CAP on first use
 
 
@@ -208,15 +212,7 @@ class FpMatrix:
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         check_entry_count(self.rows * other.cols, "matrix product")
-        p = self.p
-        # chunk the inner dimension so int64 accumulation cannot overflow
-        step = max(1, (1 << 62) // max(1, (p - 1) ** 2))
-        acc = np.zeros((self.rows, other.cols), dtype=np.int64)
-        for s in range(0, max(self.cols, 1), step):
-            if s >= self.cols:
-                break
-            acc = (acc + self._a[:, s : s + step] @ other._a[s : s + step]) % p
-        return FpMatrix._wrap(acc, p)
+        return FpMatrix._wrap(_mul_mod(self._a, other._a, self.p), self.p)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FpMatrix):
@@ -296,37 +292,70 @@ def block_diagonal(diagonal: Sequence[int], rows: int, cols: int, p: int) -> FpM
     return FpMatrix._wrap(a, p)
 
 
+def _mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """``a @ b`` mod p for residue matrices by float64 BLAS: the inner dimension
+    is cut into chunks with chunk*(p-1)^2 < 2^53, so each chunk product is exact."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    step = ((1 << 53) - 1) // (p - 1) ** 2
+    acc = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for s in range(0, a.shape[1], step):
+        acc += (a[:, s : s + step] @ b[s : s + step]).astype(np.int64)
+        acc %= p
+    return acc
+
+
 def _echelon(a: np.ndarray, p: int, reduced: bool = False) -> list[int]:
     """Row-reduce ``a`` in place; returns the pivot column indices.
 
     Pivot rows are scaled to 1, which is fine here: this routine backs
     rank and membership computations, not the recorded normal form.
+
+    Columns go PANEL at a time, and the panel's own columns are always
+    current.  A large update clears only those; its multipliers (``mult``)
+    and pivot trailing part (``tail``) reach the trailing columns as one
+    product at the end of the panel, or before the row becomes a pivot.
     """
     n_rows, n_cols = a.shape
     pivots: list[int] = []
     r = 0
-    for c in range(n_cols):
-        if r == n_rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        # rows r.. vanish left of column c, so only columns c.. change
-        piv = int(a[r, c])
-        if piv != 1:
-            a[r, c:] = a[r, c:] * inv_mod(piv, p) % p
-        below = r + 1 + np.nonzero(a[r + 1 :, c])[0]
-        if below.size:
-            a[below, c:] = (a[below, c:] - np.outer(a[below, c], a[r, c:])) % p
-        if reduced and r:
-            above = np.nonzero(a[:r, c])[0]
-            if above.size:
-                a[above, c:] = (a[above, c:] - np.outer(a[above, c], a[r, c:])) % p
-        pivots.append(c)
-        r += 1
+    for c0 in range(0, n_cols, PANEL):
+        c1 = min(c0 + PANEL, n_cols)
+        mult = None  # allocated at the panel's first deferred update
+        for c in range(c0, c1):
+            if r == n_rows:
+                break
+            nz = np.nonzero(a[r:, c])[0]
+            if nz.size == 0:
+                continue
+            i = r + int(nz[0])
+            if i != r:
+                a[[r, i]] = a[[i, r]]
+                if mult is not None:
+                    mult[[r, i]] = mult[[i, r]]
+            if mult is not None and mult[r].any():
+                a[r, c1:] = (a[r, c1:] - _mul_mod(mult[r : r + 1], tail, p)[0]) % p
+                mult[r] = 0
+            # rows r.. vanish left of column c, so only columns c.. change
+            piv = int(a[r, c])
+            if piv != 1:
+                a[r, c:] = a[r, c:] * inv_mod(piv, p) % p
+            rows = r + 1 + np.nonzero(a[r + 1 :, c])[0]
+            if reduced and r:
+                rows = np.concatenate((np.nonzero(a[:r, c])[0], rows))
+            end = n_cols
+            if rows.size * (n_cols - c1) >= DEFER_ENTRIES:
+                if mult is None:
+                    mult, tail = np.zeros((n_rows, c1 - c0)), np.zeros((c1 - c0, n_cols - c1))
+                mult[rows, c - c0] = a[rows, c]
+                tail[c - c0] = a[r, c1:]
+                end = c1
+            a[rows, c:end] = (a[rows, c:end] - np.outer(a[rows, c], a[r, c:end])) % p
+            pivots.append(c)
+            r += 1
+        pending = () if mult is None else np.nonzero(mult.any(axis=1))[0]
+        for s in range(0, len(pending), _FLUSH_ROWS):
+            rows = pending[s : s + _FLUSH_ROWS]
+            a[rows, c1:] = (a[rows, c1:] - _mul_mod(mult[rows], tail, p)) % p
     return pivots
 
 

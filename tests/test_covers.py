@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hcc import corpus, covers
+from hcc import corpus, covers, fpexact
 from hcc.covers import (
     Homomorphism,
     IncompatibleHomomorphismError,
@@ -207,6 +207,24 @@ class TestBuildCover:
                 reference.b1,
                 reference.b2,
             )
+
+
+@pytest.mark.parametrize("defer_entries", [0, 10**9])
+def test_surface_cover_across_panels(monkeypatch, defer_entries):
+    # a connected cover of the genus-2 surface of degree |H| is a closed
+    # surface with b1 = 2 + 2|H|; d2 is 27x108 and 49x196, two and four
+    # panels, and the threshold forces every update deferred or eager
+    monkeypatch.setattr(fpexact, "DEFER_ENTRIES", defer_entries)
+    pres = parse_presentation(corpus.GENUS_2)
+    for p, images in (
+        (3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)]),
+        (7, [(1, 0), (0, 1), (1, 1), (0, 0)]),
+    ):
+        group = make_elementary_abelian(p, len(images[0]))
+        hom = Homomorphism(pres, group, [group.ea_index[c] for c in images])
+        cover = build_cover(pres, hom, p)
+        assert cover.d2.cols > fpexact.PANEL
+        assert (cover.b0, cover.b1, cover.b2) == (1, 2 + 2 * group.size, 1)
 
 
 def reference_d2(pres, hom, p):

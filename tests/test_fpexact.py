@@ -187,6 +187,57 @@ def test_rref_against_reference():
             assert reduced.to_rows() == expected_rows
 
 
+def test_panel_product_is_exact():
+    assert fpexact.PANEL * (MAX_PRIME - 1) ** 2 < 2**53
+
+
+@pytest.mark.parametrize("panel", [1, 3, 8])
+@pytest.mark.parametrize("defer_entries", [0, 10**9])
+def test_panels_against_reference(monkeypatch, panel, defer_entries):
+    # random_matrix fits in one default panel: narrow panels take it across
+    # panels, and the two thresholds force every update deferred or eager
+    monkeypatch.setattr(fpexact, "PANEL", panel)
+    monkeypatch.setattr(fpexact, "DEFER_ENTRIES", defer_entries)
+    rng = np.random.default_rng(31 + panel)
+    for p in (2, 3, 7, MAX_PRIME):
+        for k in range(12):
+            data = random_matrix(rng, p, max_side=48)
+            if k % 2:
+                data[rng.random(data.shape) >= 0.05] = 0
+            m = FpMatrix(*data.shape, data.ravel(), p)
+            expected_rows, expected_pivots = reference_rref(data.tolist(), p)
+            reduced, pivots = rref(m)
+            assert pivots == expected_pivots
+            assert reduced.to_rows() == expected_rows
+            assert fpexact._echelon(data.copy(), p) == list(expected_pivots)
+            assert rank(m) == len(expected_pivots)
+
+
+def test_dense_matrix_across_default_panels(monkeypatch):
+    products = []
+    mul_mod = fpexact._mul_mod
+    monkeypatch.setattr(fpexact, "_mul_mod", lambda a, b, p: products.append(a.shape) or mul_mod(a, b, p))
+    data = np.random.default_rng(37).integers(0, 7, size=(100, 150))
+    m = FpMatrix(100, 150, data.ravel(), 7)
+    expected_rows, expected_pivots = reference_rref(data.tolist(), 7)
+    reduced, pivots = rref(m)
+    assert products  # three panels of dense fill: the deferred path ran
+    assert pivots == expected_pivots
+    assert reduced.to_rows() == expected_rows
+    assert rank(m) == len(expected_pivots)
+
+
+def test_matmul_in_two_float_chunks_at_max_prime():
+    # k * (p-1)^2 reaches 2^53, so the inner dimension is cut in two
+    p, k = MAX_PRIME, 9000
+    assert k * (p - 1) ** 2 >= 2**53
+    a = np.full((3, k), p - 1)
+    b = np.full((k, 2), p - 1)
+    expected = [[sum(int(x) * int(y) for x, y in zip(row, col)) % p for col in b.T] for row in a]
+    assert fpexact._mul_mod(a, b, p).tolist() == expected
+    assert (FpMatrix(3, k, a.ravel(), p) @ FpMatrix(k, 2, b.ravel(), p)).to_rows() == expected
+
+
 class TestValidation:
     def test_non_prime_modulus(self):
         with pytest.raises(ValueError):
