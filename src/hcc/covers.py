@@ -120,6 +120,7 @@ class Homomorphism:
 def parse_homomorphism(text: str, pres: Presentation, group: OrderedGroup) -> Homomorphism:
     """Parse the homomorphism text format against a presentation and target."""
     assignments: dict[str, int] = {}
+    known = set(pres.generator_names)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -129,7 +130,7 @@ def parse_homomorphism(text: str, pres: Presentation, group: OrderedGroup) -> Ho
         name, _, rhs = line.partition("->")
         name = name.strip()
         rhs = rhs.strip()
-        if name not in pres.generator_names:
+        if name not in known:
             raise ValueError(f"line {lineno}: unknown generator {name!r}")
         if name in assignments:
             raise ValueError(f"line {lineno}: generator {name!r} assigned twice")

@@ -26,6 +26,7 @@ against the entry cap, checked before each term is expanded.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -194,99 +195,74 @@ class Presentation:
 
 
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<int>[+-]?[0-9]+)|(?P<sym>[<>|,^])"
+    r"(?P<ws>\s+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<int>[+-]?[0-9]+)|(?P<sym>[<>|,^])|(?P<bad>.)"
 )
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
-    tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise PresentationSyntaxError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        value = m.group()
-        if kind != "ws":
-            tokens.append((kind, value, line, col))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
-        pos = m.end()
-    tokens.append(("eof", "", line, col))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.count = 0  # letters of the presentation so far, capped like a matrix
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self, kind: str, value: str | None = None):
-        tok = self.tokens[self.pos]
-        if tok[0] != kind or (value is not None and tok[1] != value):
-            want = value if value is not None else kind
-            raise PresentationSyntaxError(f"expected {want!r}, found {tok[1] or 'end of input'!r}", tok[2], tok[3])
-        self.pos += 1
-        return tok
-
-    def parse(self) -> Presentation:
-        self.take("sym", "<")
-        names = [self.take("ident")[1]]
-        while self.peek()[:2] == ("sym", ","):
-            self.take("sym", ",")
-            names.append(self.take("ident")[1])
-        for i, name in enumerate(names):
-            if name in names[:i]:
-                tok = self.peek()
-                raise PresentationSyntaxError(f"duplicate generator {name!r}", tok[2], tok[3])
-        index = {name: i for i, name in enumerate(names)}
-        self.take("sym", "|")
-        relators: list[FreeWord] = []
-        if self.peek()[:2] != ("sym", ">"):
-            relators.append(self._word(index))
-            while self.peek()[:2] == ("sym", ","):
-                self.take("sym", ",")
-                relators.append(self._word(index))
-        self.take("sym", ">")
-        self.take("eof")
-        return Presentation(tuple(names), tuple(relators))
-
-    def _word(self, index: dict[str, int]) -> FreeWord:
-        letters: list[tuple[int, int]] = []
-        saw_term = False
-        while self.peek()[0] == "ident":
-            kind, name, line, col = self.take("ident")
-            if name not in index:
-                raise PresentationSyntaxError(f"unknown generator {name!r}", line, col)
-            exponent = 1
-            if self.peek()[:2] == ("sym", "^"):
-                self.take("sym", "^")
-                tok = self.take("int")
-                exponent = int(tok[1])
-            sign = 1 if exponent >= 0 else -1
-            self.count += abs(exponent)
-            check_entry_count(self.count, "presentation")  # before a^k is expanded
-            letters.extend(((index[name], sign),) * abs(exponent))
-            saw_term = True
-        if not saw_term:
-            tok = self.peek()
-            raise PresentationSyntaxError("expected a word", tok[2], tok[3])
-        return FreeWord(letters)
+def _syntax_error(text: str, token: tuple[str, str, int], message: str) -> PresentationSyntaxError:
+    pos = token[2]  # line and column are worked out from the offset only for an error
+    return PresentationSyntaxError(message, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
 
 
 def parse_presentation(text: str) -> Presentation:
     """Parse the presentation grammar; raises PresentationSyntaxError with
     line/column on malformed input."""
-    return _Parser(text).parse()
+    tokens = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN_RE.finditer(text) if m.lastgroup != "ws"]
+    for tok in tokens:  # a stray character is reported before any grammar error
+        if tok[0] == "bad":
+            raise _syntax_error(text, tok, f"unexpected character {tok[1]!r}")
+    tokens.append(("eof", "end of input", len(text)))  # its value is what an error says it found
+    if tokens[0][1] != "<":
+        raise _syntax_error(text, tokens[0], f"expected '<', found {tokens[0][1]!r}")
+    index: dict[str, int] = {}  # generator name -> index
+    duplicate = None  # the first repeated name, reported after the whole list
+    i = 1
+    while True:
+        tok = tokens[i]
+        if tok[0] != "ident":
+            raise _syntax_error(text, tok, f"expected 'ident', found {tok[1]!r}")
+        if duplicate is None and tok[1] in index:
+            duplicate = tok[1]
+        index.setdefault(tok[1], len(index))
+        if tokens[i + 1][1] != ",":
+            break
+        i += 2
+    tok = tokens[i + 1]
+    if duplicate is not None:
+        raise _syntax_error(text, tok, f"duplicate generator {duplicate!r}")
+    if tok[1] != "|":
+        raise _syntax_error(text, tok, f"expected '|', found {tok[1]!r}")
+    i += 2
+    relators: list[FreeWord] = []
+    count = 0  # letters of the presentation so far, capped like a matrix
+    while tokens[i][1] != ">" or relators:  # '>' may close an empty list, but not follow a ','
+        letters: list[tuple[int, int]] = []
+        start = i
+        while tokens[i][0] == "ident":
+            tok = tokens[i]
+            if tok[1] not in index:
+                raise _syntax_error(text, tok, f"unknown generator {tok[1]!r}")
+            exponent = 1
+            if tokens[i + 1][1] == "^":
+                i += 2
+                if tokens[i][0] != "int":
+                    raise _syntax_error(text, tokens[i], f"expected 'int', found {tokens[i][1]!r}")
+                exponent = int(tokens[i][1])
+            i += 1
+            count += abs(exponent)
+            check_entry_count(count, "presentation")  # before a^k is expanded
+            letters.extend(((index[tok[1]], 1 if exponent >= 0 else -1),) * abs(exponent))
+        if i == start:
+            raise _syntax_error(text, tokens[i], "expected a word")
+        relators.append(FreeWord(letters))
+        if tokens[i][1] != ",":
+            break
+        i += 1
+    if tokens[i][1] != ">":
+        raise _syntax_error(text, tokens[i], f"expected '>', found {tokens[i][1]!r}")
+    if tokens[i + 1][0] != "eof":
+        raise _syntax_error(text, tokens[i + 1], f"expected 'eof', found {tokens[i + 1][1]!r}")
+    return Presentation(tuple(index), tuple(relators))
 
 
 def fox_derivative(word: FreeWord, j: int) -> tuple[tuple[int, FreeWord], ...]:
@@ -343,8 +319,8 @@ def exponent_sum_matrix(pres: Presentation, p: int) -> FpMatrix:
     check_entry_count(n * m, "matrix")  # before allocating: a refused matrix costs no memory
     a = np.zeros((n, m), dtype=np.int64)
     for i, rel in enumerate(pres.relators):
-        for g, s in rel.letters:
-            a[g, i] += s
+        for (g, s), k in Counter(rel.letters).items():
+            a[g, i] += s * k
     return FpMatrix(n, m, a.ravel(), p)
 
 

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,19 @@ class TestHomomorphismFormat:
             parse_homomorphism("a -> (1,0)\nb -> 0\n", pres, group)  # coords need ea
         with pytest.raises(ValueError):
             parse_homomorphism("c -> 1\n", pres, group)
+
+    def test_many_generators_linear(self):
+        names = [f"g{i}" for i in range(20000)]
+        pres = Presentation(tuple(names), ())
+        text = "".join(f"{name} -> {i % 2}\n" for i, name in enumerate(names))
+        start = time.perf_counter()
+        hom = parse_homomorphism(text, pres, make_cyclic(2))
+        assert time.perf_counter() - start < 1.0
+        assert hom.images == tuple(i % 2 for i in range(20000))
+        with pytest.raises(ValueError, match=r"^line 20001: unknown generator 'g20000'$"):
+            parse_homomorphism(text + "g20000 -> 0\n", pres, make_cyclic(2))
+        with pytest.raises(ValueError, match=r"^line 20001: generator 'g3' assigned twice$"):
+            parse_homomorphism(text + "g3 -> 0\n", pres, make_cyclic(2))
 
 
 class TestTorusGolden:

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -122,6 +123,82 @@ class TestParser:
         with pytest.raises(PresentationSyntaxError) as info:
             parse_presentation("< a | a * a >")
         assert info.value.col == 9
+
+    @pytest.mark.parametrize(
+        "text, message, line, col",
+        [
+            ("a, b | >", "expected '<', found 'a'", 1, 1),
+            ("< a, b >", "expected '|', found '>'", 1, 8),
+            ("< a | a ^ >", "expected 'int', found '>'", 1, 11),
+            ("< a | a^x >", "expected 'int', found 'x'", 1, 9),
+            ("< a | a", "expected '>', found 'end of input'", 1, 8),
+            ("< a | a > trailing", "expected 'eof', found 'trailing'", 1, 11),
+            ("< | a >", "expected 'ident', found '|'", 1, 3),
+            ("< a | , >", "expected a word", 1, 7),
+            ("< a, b | a,\n  >", "expected a word", 2, 3),
+            ("< a, a | >", "duplicate generator 'a'", 1, 8),
+            ("< a |\n a c >", "unknown generator 'c'", 2, 4),
+            # an unexpected character wins over the earlier missing '|'
+            ("< a, b >\n  *", "unexpected character '*'", 2, 3),
+        ],
+    )
+    def test_error_contract(self, text, message, line, col):
+        with pytest.raises(PresentationSyntaxError) as info:
+            parse_presentation(text)
+        assert str(info.value) == f"{message} (line {line}, column {col})"
+        assert (info.value.line, info.value.col) == (line, col)
+
+    def test_many_generators_linear(self):
+        names = [f"g{i}" for i in range(20000)]
+        start = time.perf_counter()
+        pres = parse_presentation(f"< {', '.join(names)} | >")
+        assert time.perf_counter() - start < 1.0
+        assert pres.generator_names == tuple(names)
+        # a repeated name is reported at the token after the generator list
+        text = f"< {', '.join(names)}, g7 | >"
+        with pytest.raises(PresentationSyntaxError) as info:
+            parse_presentation(text)
+        assert str(info.value) == f"duplicate generator 'g7' (line 1, column {text.index('|') + 1})"
+
+    def test_roundtrip_random_layout(self):
+        rng = np.random.default_rng(11)
+        spaces = [" ", "\t", "\n", "\r\n", " \n\t"]
+
+        def gap():
+            return "".join(rng.choice(spaces) for _ in range(int(rng.integers(0, 3))))
+
+        for _ in range(300):
+            names = ["a", "b", "c", "d"][: int(rng.integers(1, 5))]
+            relators = []
+            tokens = ["<", *" , ".join(names).split(), "|"]
+            expanded = []  # x^k spelled as k copies of x (or of x^-1)
+            while len(relators) < 3 and rng.random() < 0.75:
+                terms = [
+                    (int(rng.integers(0, len(names))), int(rng.choice([-1, 1])) * int(rng.integers(1, 4)))
+                    for _ in range(int(rng.integers(1, 6)))
+                ]
+                word = FreeWord([(g, 1 if k > 0 else -1) for g, k in terms for _ in range(abs(k))])
+                if not word:
+                    continue
+                tokens += [","] if relators else []
+                relators.append(word)
+                for g, k in terms:
+                    tokens.append(names[g])
+                    if k != 1 or rng.random() < 0.5:
+                        tokens += ["^", f"+{k}" if k > 0 and rng.random() < 0.3 else str(k)]
+                expanded.append(" ".join(names[g] + ("" if k > 0 else "^-1") for g, k in terms for _ in range(abs(k))))
+            tokens.append(">")
+            text = gap()
+            for prev, tok in zip([""] + tokens, tokens):
+                between = gap()
+                if not between and prev[-1:].isalnum() and tok[0].isalnum():
+                    between = " "  # two names, or a name and a number, would run together
+                text += between + tok
+            text += gap()
+            pres = Presentation(tuple(names), tuple(relators))
+            assert parse_presentation(text) == pres, text
+            assert parse_presentation(pres.to_text()) == pres
+            assert parse_presentation(f"< {', '.join(names)} | {', '.join(expanded)} >") == pres
 
 
 class TestFoxDerivative:
