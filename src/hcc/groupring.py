@@ -272,6 +272,7 @@ def parse_group_table(text: str) -> OrderedGroup:
         raise GroupValidationError(f"bad order {head[1]!r}") from None
     if len(lines) - 1 != n:
         raise GroupValidationError(f"expected {n} table rows, got {len(lines) - 1}")
+    check_entry_count(n * n, "multiplication table")  # before any row is converted
     rows = []
     for k, ln in enumerate(lines[1:]):
         parts = ln.split()
@@ -415,7 +416,7 @@ class FiltrationProfile:
     the first k with equal consecutive dimensions (``stabilization_k``);
     powers are nested, so equal dimensions there mean equal subspaces and
     the filtration is constant afterwards.  ``nilpotent`` records whether
-    the dimensions reach 0.
+    the dimensions reach 0.  Each level keeps an echelon, not reduced, basis.
     """
 
     p: int
@@ -437,7 +438,7 @@ class FiltrationProfile:
         return self.delta_dims[min(k, len(self.delta_dims) - 1)]
 
     def contains(self, k: int, v: GroupRingElement) -> bool:
-        """Membership of ``v`` in the k-th power, by reduction against the basis."""
+        """Membership of ``v`` in the k-th power, by pivot-order reduction against the echelon basis."""
         if v.group.table_hash != self.group.table_hash or v.p != self.p:
             raise ValueError("element does not live in this profile's group ring")
         basis, pivots = self._bases[min(k, len(self._bases) - 1)]
@@ -470,7 +471,7 @@ def _compute_profile(p: int, group: OrderedGroup) -> FiltrationProfile:
             shifted[:, perm] = current
             blocks.append((shifted - current) % p)
         stack = np.vstack(blocks) if blocks else np.zeros((0, n), dtype=np.int64)
-        pivots = fpexact._echelon(stack, p, reduced=True)
+        pivots = fpexact._echelon(stack, p)
         dim = len(pivots)
         basis = np.ascontiguousarray(stack[:dim])
         dims.append(dim)

@@ -330,9 +330,7 @@ def complex_summary(pres: Presentation, p: int) -> ComplexSummary:
     r = fpexact.rank(boundary)
     b1 = n - r
     b2 = m - r
-    euler = 1 - n + m
-    assert euler == 1 - b1 + b2
-    return ComplexSummary(p=p, boundary=boundary, b0=1, b1=b1, b2=b2, euler=euler, rank=r)
+    return ComplexSummary(p=p, boundary=boundary, b0=1, b1=b1, b2=b2, euler=1 - n + m, rank=r)
 
 
 def normalize_presentation(pres: Presentation, p: int) -> Presentation:

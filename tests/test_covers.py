@@ -317,6 +317,29 @@ class TestSeedAssembly:
             cover = build_cover(pres, hom, p)
             assert np.array_equal(cover.d2.array, reference_d2(pres, hom, p)), (pres, hom, p)
 
+    def test_rank_d1_is_order_minus_components(self):
+        # build_cover takes b0 from the index of the image; d1 is the oracle
+        cases = []
+        for item in corpus.CORPUS:
+            pres, _, hom = corpus.build_item(item)
+            cases.append((pres, hom, item.p))
+        rng = np.random.default_rng(20261018)
+        cases += [random_case(rng) for _ in range(60)]
+        kinds = set()
+        for pres, hom, p in cases:
+            cover = build_cover(pres, hom, p)
+            assert fpexact.rank(cover.d1) == hom.group.size - cover.b0, (pres, hom, p)
+            kinds.add((hom.group.size, hom.group.is_abelian(), cover.b0 > 1))
+        assert (6, False, False) in kinds  # S3
+        assert any(disconnected for _, _, disconnected in kinds)
+
+    def test_ranks_d2_and_the_base_only(self, monkeypatch):
+        shapes = []
+        rank = fpexact.rank
+        monkeypatch.setattr(fpexact, "rank", lambda m: shapes.append((m.rows, m.cols)) or rank(m))
+        cover = torus_cover()
+        assert shapes == [(cover.d2.rows, cover.d2.cols), (2, 1)]
+
     def test_dropped_fox_term_is_caught(self, monkeypatch):
         fox = covers.fox_derivative
         monkeypatch.setattr(covers, "fox_derivative", lambda w, j: fox(w, j)[1:] if j == 0 else fox(w, j))

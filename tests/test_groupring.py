@@ -1,8 +1,11 @@
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
 import pytest
 
+from hcc import fpexact
+from hcc.fpexact import CapExceededError
 from hcc.groupring import (
     GroupRingElement,
     GroupValidationError,
@@ -17,6 +20,7 @@ from hcc.groupring import (
     parse_group_table,
     ring_mul,
 )
+from test_fpexact import reference_rref
 
 
 class TestConstructors:
@@ -103,6 +107,22 @@ class TestTableFormat:
         text = "order 2\n1 0\n0 1"
         with pytest.raises(GroupValidationError):
             parse_group_table(text)
+
+    def test_entry_cap_before_rows_are_converted(self):
+        n = 600
+        text = "order 600\n" + "\n".join(" ".join(str((i + j) % n) for j in range(n)) for i in range(n))
+        old = fpexact.entry_cap()
+        tracemalloc.start()
+        try:
+            fpexact.set_entry_cap(n * n - 1)
+            tracemalloc.reset_peak()
+            with pytest.raises(CapExceededError, match="multiplication table needs 360000 entries"):
+                parse_group_table(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            fpexact.set_entry_cap(old)
+        assert peak < 2 * len(text)  # the converted rows would take over 8 MB
 
     def test_header_errors(self):
         with pytest.raises(GroupValidationError):
@@ -249,3 +269,122 @@ def test_jennings_small():
 
         prof = filtration_profile(p, make_elementary_abelian(p, r))
         assert prof.lambdas == omega_by_convolution(p, r).coeffs, (p, r)
+
+
+def generated_group(gens, op):
+    """The table of the group generated by ``gens`` under ``op``, by closure."""
+    elements = list(gens)
+    for x in elements:
+        for g in gens:
+            y = op(x, g)
+            if y not in elements:
+                elements.append(y)
+    index = {x: i for i, x in enumerate(elements)}
+    return OrderedGroup([[index[op(x, y)] for y in elements] for x in elements])
+
+
+def compose(a, b):
+    return tuple(a[k] for k in b)
+
+
+def quaternion(a, b):
+    # Q8 as pairs of Gaussian integers: (z, w) is the matrix [[z, w], [-conj w, conj z]]
+    (z1, w1), (z2, w2) = a, b
+    return (z1 * z2 - w1 * w2.conjugate(), z1 * w2 + w1 * z2.conjugate())
+
+
+PROFILE_GROUPS = {
+    "D4": generated_group([(1, 2, 3, 0), (3, 2, 1, 0)], compose),
+    "Q8": generated_group([(1j, 0j), (0j, 1 + 0j)], quaternion),
+    "S3": generated_group([(1, 0, 2), (1, 2, 0)], compose),
+    "A4": generated_group([(1, 2, 0, 3), (1, 0, 3, 2)], compose),
+}
+
+
+def test_profile_groups_are_the_named_tables():
+    # order, and the number of elements of order 2
+    for name, shape in (("D4", (8, 5)), ("Q8", (8, 1)), ("S3", (6, 3)), ("A4", (12, 3))):
+        g = PROFILE_GROUPS[name]
+        involutions = sum(1 for x in range(g.size) if x != g.identity_index and g.op(x, x) == g.identity_index)
+        assert (g.size, involutions) == shape, name
+        assert not g.is_abelian()
+
+
+def reference_levels(group, p):
+    """Reduced bases of the powers of the augmentation ideal, by plain-Python
+    Gauss-Jordan on the recursion I^(k+1) = span{b (delta_g - delta_e)} over
+    basis rows b of I^k and every element g, until two dimensions repeat."""
+    n = group.size
+    mult = group.mult.tolist()
+    levels = [reference_rref([[int(i == j) for j in range(n)] for i in range(n)], p)]
+    while len(levels) < 2 or len(levels[-1][1]) != len(levels[-2][1]):
+        rows, pivots = levels[-1]
+        stack = []
+        for b in rows[: len(pivots)]:
+            for g in range(n):
+                shifted = [0] * n
+                for x in range(n):
+                    shifted[mult[x][g]] = b[x]
+                stack.append([(u - v) % p for u, v in zip(shifted, b)])
+        levels.append(reference_rref(stack, p) if stack else ([], ()))
+    return levels
+
+
+def reference_contains(level, v, p):
+    rows, pivots = level
+    v = list(v)
+    for row, c in zip(rows, pivots):
+        f = v[c]
+        v = [(x - f * y) % p for x, y in zip(v, row)]
+    return not any(v)
+
+
+@pytest.mark.parametrize(
+    "name, group, p",
+    [
+        ("Z8", make_cyclic(8), 2),
+        ("Z9", make_cyclic(9), 3),
+        ("Z12", make_cyclic(12), 2),
+        ("Z6", make_cyclic(6), 3),
+        ("Z5", make_cyclic(5), 2),
+        ("Z4", make_cyclic(4), 3),
+        ("Z7", make_cyclic(7), 5),
+        ("Z2^4", make_elementary_abelian(2, 4), 2),
+        ("Z3^2", make_elementary_abelian(3, 2), 3),
+        ("Z5^1", make_elementary_abelian(5, 1), 5),
+        ("Z2^3", make_elementary_abelian(2, 3), 3),
+        *((name, PROFILE_GROUPS[name], p) for name in ("D4", "Q8", "S3", "A4") for p in (2, 3)),
+    ],
+)
+def test_profile_against_reference_elimination(name, group, p):
+    prof = filtration_profile(p, group)
+    levels = reference_levels(group, p)
+    dims = [len(pivots) for _, pivots in levels]
+    stable = len(dims) - 2  # first k with dims[k] == dims[k + 1]
+    nilpotent = dims[-1] == 0
+    assert prof.nilpotent == nilpotent
+    assert prof.stabilization_k == stable
+    expected = tuple(dims[: stable + 1] if nilpotent else dims)
+    assert prof.delta_dims == expected
+    assert prof.lambdas == tuple(a - b for a, b in zip(expected, expected[1:]))
+    if name in ("S3", "A4"):
+        assert not prof.nilpotent
+    rng = np.random.default_rng(sum(map(ord, name)) + p)
+    n = group.size
+    answers = []
+    for k in range(len(dims) + 1):
+        level = levels[min(k, len(levels) - 1)]
+        rows, pivots = level
+        basis = np.array(rows[: len(pivots)], dtype=np.int64).reshape(-1, n)
+        members = [rng.integers(0, p, size=len(pivots)) @ basis % p for _ in range(3)]
+        candidates = [
+            *members,
+            *((v + rng.integers(0, p, size=n) * (rng.random(n) < 0.2)) % p for v in members),
+            *(rng.integers(0, p, size=n) for _ in range(3)),
+            *(delta_product(group, p, rng.integers(0, n, size=j).tolist()).coeffs for j in (max(k - 1, 0), k, k + 1)),
+        ]
+        for v in candidates:
+            answer = reference_contains(level, v.tolist(), p)
+            assert prof.contains(k, GroupRingElement(group, p, v)) == answer, (k, v)
+            answers.append(answer)
+    assert True in answers and False in answers
