@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from . import covers, fpexact
 from .errors import FalsificationError
-from .fpexact import CapExceededError, check_entry_count, check_prime
+from .fpexact import CapExceededError, check_entry_count, check_power_count, check_prime
 from .groupring import FiltrationProfile, make_elementary_abelian
 from .omega import omega_by_convolution
 from .presentations import (
@@ -310,10 +310,10 @@ def growth_iterate(pres: Presentation, p: int, steps: int) -> GrowthResult:
         r = summary.b1
         if r == 0:
             break
-        index = p**r
         try:
             # refuse from the Nielsen-Schreier counts before building anything
-            check_entry_count(index * index, "multiplication table")
+            check_power_count(p, 2 * r, "multiplication table")
+            index = p**r
             kernel_gens = index * (current.n_generators - 1) + 1
             check_entry_count(kernel_gens * index * current.n_relators, "matrix")
             target = make_elementary_abelian(p, r)

@@ -2,16 +2,15 @@
 
 A homomorphism from a presentation's free group onto (a subgroup of) a
 finite ordered group H determines a regular cover of the presentation
-complex whose cells are indexed by H.  The degree-2 boundary map is a
-grid of |H| x |H| blocks, one per (relator, generator) pair; each block
-is equivariant (row g equals delta_g convolved with the identity row),
-so it is determined by a single seed row, which is the image of the Fox
-derivative of the relator under the homomorphism.  The (relator,
-generator, element) array of seed rows is the cover's one
-representation; the boundary maps are scattered from it.  The degree-1
-boundary sends the 1-cell (g, generator j) to its endpoint difference.
-b0 is the index of the image, so d2 is the only matrix eliminated; d1 is
-built for the d2 @ d1 = 0 certificate and as the oracle rank(d1) = |H| - b0.
+complex whose cells are indexed by H.  Both boundary maps are matrices
+over the group ring F_p[H]; ``equivariant_block`` expands a (rows, cols,
+|H|) array of group-ring entries into the |H|rows x |H|cols matrix whose
+row (i, g) is delta_g times entry (i, j) in column block j.  d2 expands
+the (relator, generator, element) array of images of Fox derivatives, d1
+the column delta_{phi(a_j)} - delta_e.  b0 is |H| over the order of the
+image, which the homomorphism records, so d2 is the only matrix
+eliminated; d1 is built for the d2 @ d1 = 0 certificate and as the oracle
+rank(d1) = |H| - b0.
 
 Homomorphism text format, one line per generator::
 
@@ -61,13 +60,13 @@ class Homomorphism:
     """Generator images defining a map from the presented group to a finite group.
 
     Compatibility (every relator maps to the identity) is enforced at
-    construction; ``surjective`` records whether the images generate the
-    whole target.  ``letter_action[s][j]`` is the list ``group.mult[:, h]``
+    construction; ``image_order`` is the order of the subgroup the images
+    generate.  ``letter_action[s][j]`` is the list ``group.mult[:, h]``
     for h the image of a_j^s (s = +-1): entry x is x h, so every word walk
     steps one letter by one list lookup.
     """
 
-    __slots__ = ("source", "group", "images", "letter_action", "surjective")
+    __slots__ = ("source", "group", "images", "letter_action", "image_order")
 
     def __init__(self, source: Presentation, group: OrderedGroup, images: Sequence[int]):
         images = tuple(int(x) for x in images)
@@ -88,9 +87,11 @@ class Homomorphism:
             img = self.word_image(rel)
             if img != group.identity_index:
                 raise IncompatibleHomomorphismError(i, img, group.element_names[img])
-        object.__setattr__(
-            self, "surjective", len(group.closure(images)) == group.size
-        )
+        object.__setattr__(self, "image_order", len(group.closure(images)))
+
+    @property
+    def surjective(self) -> bool:
+        return self.image_order == self.group.size
 
     def __setattr__(self, name, value):
         raise AttributeError("Homomorphism is immutable")
@@ -162,12 +163,15 @@ def parse_homomorphism(text: str, pres: Presentation, group: OrderedGroup) -> Ho
 
 
 def equivariant_block(group: OrderedGroup, seed: np.ndarray) -> np.ndarray:
-    """The |H| x |H| matrix whose row g is delta_g * seed: entry (g, gh)
-    is seed[h]."""
+    """Expansion of a matrix over the group ring: for seeds of shape
+    (rows, cols, |H|), the |H|rows x |H|cols matrix whose entry
+    ((i, g), (j, gh)) is seed[i, j, h].  A 1-D seed is one |H| x |H|
+    block, whose row g is delta_g * seed."""
+    rows, cols = seed.shape[:-1] or (1, 1)
     n = group.size
-    out = np.zeros((n, n), dtype=np.int64)
-    out[np.arange(n)[:, None], group.mult] = seed
-    return out
+    out = np.zeros((rows, n, cols, n), dtype=np.int64)
+    out[:, np.arange(n)[:, None], :, group.mult] = seed.reshape(rows, cols, n).transpose(2, 0, 1)
+    return out.reshape(rows * n, cols * n)
 
 
 @dataclass(frozen=True)
@@ -211,30 +215,21 @@ def build_cover(pres: Presentation, hom: Homomorphism, p: int) -> CoverComplex:
                 seeds[i, j, images[len(prefix)]] += sign
     seeds %= p
     seeds.setflags(write=False)
-
-    d2_arr = np.zeros((m, H, n, H), dtype=np.int64)
-    for i in range(m):
-        for j in range(n):
-            d2_arr[i, :, j, :] = equivariant_block(group, seeds[i, j])
-    d2 = FpMatrix(H * m, H * n, d2_arr.ravel(), p)
-
-    d1_arr = np.zeros((H * n, H), dtype=np.int64)
-    rows = np.arange(H)
-    for j in range(n):
-        img = hom.images[j]
-        if img != group.identity_index:
-            d1_arr[j * H + rows, group.mult[rows, img]] += 1
-            d1_arr[j * H + rows, rows] -= 1
-    d1 = FpMatrix(H * n, H, (d1_arr % p).ravel(), p)
+    d2 = FpMatrix._wrap(equivariant_block(group, seeds), p)
+    # d1 is the column (phi(a_j) - 1): zero where a_j maps to the identity
+    edges = np.zeros((n, 1, H), dtype=np.int64)
+    edges[np.arange(n), 0, hom.images] += 1
+    edges[:, 0, group.identity_index] -= 1
+    d1 = FpMatrix._wrap(equivariant_block(group, edges % p), p)
 
     # Row (i, g) of d2 @ d1 is delta_g times row (i, e), and row (i, e) of
     # d2 is the seed row: checking the seed rows certifies d2 @ d1 = 0.
-    if not (FpMatrix(m, n * H, seeds.ravel(), p) @ d1).is_zero():
+    if not (FpMatrix._wrap(seeds.reshape(m, n * H), p) @ d1).is_zero():
         raise RuntimeError("boundary maps do not compose to zero")
 
     # the components are the cosets of the image: b0 = [H : image]
     r2 = fpexact.rank(d2)
-    b0 = H // len(group.closure(hom.images))
+    b0 = H // hom.image_order
     r1 = H - b0
     b2 = H * m - r2
     b1 = H * n - r2 - r1

@@ -33,6 +33,7 @@ __all__ = [
     "SnfResult",
     "block_diagonal",
     "check_entry_count",
+    "check_power_count",
     "check_prime",
     "entry_cap",
     "inv_mod",
@@ -82,10 +83,19 @@ def set_entry_cap(cap: int) -> None:
 def check_entry_count(count: int, what: str = "matrix") -> None:
     cap = entry_cap()
     if count > cap:
+        shown = count if count < 10**4300 else "at least 10^4300"  # int-to-text stops at 4300 digits
         raise CapExceededError(
-            f"{what} needs {count} entries, above the cap of {cap} "
+            f"{what} needs {shown} entries, above the cap of {cap} "
             "(override with set_entry_cap() or HCC_MATRIX_CAP)"
         )
+
+
+def check_power_count(base: int, exponent: int, what: str) -> None:
+    """``check_entry_count(base**exponent, what)``, refused before the power
+    is computed when exponent * floor(log2 base) shows it above 10^4300."""
+    if exponent * (base.bit_length() - 1) >= 14285:  # 2^14285 > 10^4300
+        check_entry_count(10**4300, what)
+    check_entry_count(base**exponent, what)
 
 
 def is_prime(p: int) -> bool:
@@ -188,9 +198,6 @@ class FpMatrix:
     def __getitem__(self, ij) -> int:
         i, j = ij
         return int(self._a[i, j])
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return tuple(int(x) for x in self._a[i])
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(int(x) for x in self._a[:, j])

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import fpexact
-from .fpexact import check_entry_count, check_prime
+from .fpexact import check_entry_count, check_power_count, check_prime
 
 __all__ = [
     "FiltrationProfile",
@@ -205,8 +205,8 @@ def make_elementary_abelian(p: int, r: int, label: str | None = None) -> Ordered
     check_prime(p)
     if r < 1:
         raise ValueError("r must be at least 1")
+    check_power_count(p, 2 * r, "multiplication table")  # before p**r is computed
     n = p**r
-    check_entry_count(n * n, "multiplication table")
     tuples = sorted(_iterproduct(range(p), repeat=r), key=lambda t: (sum(t), tuple(-c for c in t)))
     radix = np.array([p ** (r - 1 - i) for i in range(r)], dtype=np.int64)
     index_of_code = np.empty(n, dtype=np.int64)
@@ -319,9 +319,6 @@ class GroupRingElement:
     @property
     def coeffs(self) -> np.ndarray:
         return self._coeffs
-
-    def coeff(self, h: int) -> int:
-        return int(self._coeffs[h])
 
     def is_zero(self) -> bool:
         return not self._coeffs.any()

@@ -79,6 +79,11 @@ class TestRing:
         code, _, err = run_cli(["ring", "--p", "2"], capsys)
         assert code == 1 and "target group" in err
 
+    def test_table_too_large_to_print(self, capsys):
+        code, out, err = run_cli(["ring", "--p", "2", "--r", "20000"], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: multiplication table needs at least 10^4300 entries, above the cap of")
+
     def test_one_parser_and_no_leaking_defaults(self, capsys):
         # the parser is built once per process: options of one call must
         # not carry over to the next
@@ -216,6 +221,17 @@ class TestIterate:
         assert payload["truncated"] is False
 
 
+    def test_stage_too_large_to_print(self, tmp_path, capsys):
+        pres = tmp_path / "free.pres"
+        pres.write_text("< " + ", ".join(f"g{i}" for i in range(10000)) + " | >\n")
+        code, out, _ = run_cli(["iterate", "--pres", str(pres), "--p", "2"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["stages"] == [{"index": 1, "b1": 10000, "generators": 10000, "relators": 0}]
+        assert payload["truncated"] is True
+        assert payload["reason"].startswith("multiplication table needs at least 10^4300 entries, above the cap of")
+
+
 class TestMatrixCapVariable:
     # HCC_MATRIX_CAP is read once per process, so each value gets its own
     def run_hcc(self, cap, argv):
@@ -278,3 +294,5 @@ class TestSelfcheckAndExitCodes:
         code, out, _ = run_cli(["selfcheck"], capsys)
         assert code == 0
         assert "all 11 checks passed" in out
+        with open(os.path.join(os.path.dirname(__file__), "data", "selfcheck.out")) as golden:
+            assert out == golden.read()

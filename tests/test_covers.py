@@ -154,6 +154,13 @@ class TestEquivariance:
                 assert lhs == rhs
                 assert list(mat[g]) == list(row(g).coeffs)
 
+    def test_grid_is_the_grid_of_blocks(self):
+        rng = np.random.default_rng(16)
+        for group in (symmetric_group_3(), make_elementary_abelian(3, 2)):
+            seeds = rng.integers(0, 3, size=(2, 3, group.size))
+            blocks = [[equivariant_block(group, seeds[i, j]) for j in range(3)] for i in range(2)]
+            assert np.array_equal(equivariant_block(group, seeds), np.block(blocks))
+
     def test_action_is_convolution(self):
         rng = np.random.default_rng(15)
         group = make_elementary_abelian(3, 2)
@@ -260,6 +267,19 @@ def reference_d2(pres, hom, p):
     return np.array(rows, dtype=np.int64).reshape(len(rows), group.size * pres.n_generators)
 
 
+def reference_d1(hom, p):
+    """d1 by the defining loop: row (j, g) is delta_{g phi(a_j)} - delta_g."""
+    group = hom.group
+    rows = []
+    for h in hom.images:
+        for g in range(group.size):
+            row = np.zeros(group.size, dtype=np.int64)
+            row[group.op(g, h)] += 1
+            row[g] -= 1
+            rows.append(row % p)
+    return np.array(rows, dtype=np.int64).reshape(len(rows), group.size)
+
+
 def symmetric_group_3():
     perms = [(0, 1, 2), (1, 0, 2), (0, 2, 1), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
     index = {perm: i for i, perm in enumerate(perms)}
@@ -309,6 +329,7 @@ class TestSeedAssembly:
             pres, _, hom = corpus.build_item(item)
             cover = build_cover(pres, hom, item.p)
             assert np.array_equal(cover.d2.array, reference_d2(pres, hom, item.p)), item.name
+            assert np.array_equal(cover.d1.array, reference_d1(hom, item.p)), item.name
 
     def test_d2_matches_reference_on_random_cases(self):
         rng = np.random.default_rng(20241018)
@@ -316,6 +337,7 @@ class TestSeedAssembly:
             pres, hom, p = random_case(rng)
             cover = build_cover(pres, hom, p)
             assert np.array_equal(cover.d2.array, reference_d2(pres, hom, p)), (pres, hom, p)
+            assert np.array_equal(cover.d1.array, reference_d1(hom, p)), (pres, hom, p)
 
     def test_rank_d1_is_order_minus_components(self):
         # build_cover takes b0 from the index of the image; d1 is the oracle
@@ -339,6 +361,17 @@ class TestSeedAssembly:
         monkeypatch.setattr(fpexact, "rank", lambda m: shapes.append((m.rows, m.cols)) or rank(m))
         cover = torus_cover()
         assert shapes == [(cover.d2.rows, cover.d2.cols), (2, 1)]
+
+    def test_one_closure_per_cover(self, monkeypatch):
+        # the homomorphism records the order of its image; build_cover reads it
+        pres = parse_presentation(TORUS)
+        group = make_elementary_abelian(2, 2)
+        calls = []
+        closure = OrderedGroup.closure
+        monkeypatch.setattr(OrderedGroup, "closure", lambda self, seed: calls.append(seed) or closure(self, seed))
+        cover = build_cover(pres, Homomorphism(pres, group, [1, 1]), 2)
+        assert len(calls) == 1
+        assert cover.hom.image_order == 2 and not cover.hom.surjective and cover.b0 == 2
 
     def test_dropped_fox_term_is_caught(self, monkeypatch):
         fox = covers.fox_derivative

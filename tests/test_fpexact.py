@@ -273,6 +273,22 @@ class TestValidation:
         finally:
             fpexact.set_entry_cap(old)
 
+    def test_counts_too_large_to_print(self):
+        # int-to-text stops at 4300 digits: larger counts print as a bound
+        with pytest.raises(CapExceededError) as info:
+            fpexact.check_entry_count(10**4300 - 1, "matrix")
+        assert str(info.value).startswith(f"matrix needs {'9' * 4300} entries, above the cap of")
+        for count in (10**4300, 10**5000):
+            with pytest.raises(CapExceededError, match="^matrix needs at least 10\\^4300 entries, above the cap of"):
+                fpexact.check_entry_count(count, "matrix")
+        # 2^14284 < 10^4300 <= 2^14285 and 3^9012 < 10^4300 <= 3^9014
+        for base, exponent, shown in ((2, 14284, str(2**14284)), (2, 14285, "at least 10^4300"),
+                                      (3, 9012, str(3**9012)), (3, 9014, "at least 10^4300")):
+            with pytest.raises(CapExceededError) as info:
+                fpexact.check_power_count(base, exponent, "table")
+            assert str(info.value).startswith(f"table needs {shown} entries, above the cap of")
+        fpexact.check_power_count(2, 2, "table")
+
     def test_matmul_mismatch(self):
         a = FpMatrix.zeros(2, 3, 2)
         with pytest.raises(ValueError):

@@ -41,6 +41,17 @@ class TestConstructors:
         assert g.size == 3
         assert g.element_order(1) == 3
 
+    def test_rank_refused_before_the_order_is_computed(self):
+        # p^r at r = 10^9 would be an integer of about 2.5 GB
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError, match="^multiplication table needs at least 10\\^4300 entries"):
+                make_elementary_abelian(fpexact.MAX_PRIME, 10**9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_cyclic_trivial(self):
         g = make_cyclic(1)
         assert g.size == 1
