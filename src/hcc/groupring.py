@@ -6,16 +6,29 @@ group is the index order.  Group-ring elements are length-``n``
 coefficient vectors over F_p indexed that way, multiplied by convolution.
 
 The augmentation map sums coefficients; its kernel is the augmentation
-ideal, and the dimension profile of the ideal's powers (together with the
-dimension jumps between consecutive powers) is computed exactly by
-spanning each power with products of ``delta_g - delta_e`` factors and
-row-reducing.
+ideal I.  The dimension profile of its powers (with the jumps between
+consecutive powers) comes from one of two exact paths, chosen by the
+multiplication table alone:
+
+- When the p-elements P and the p'-elements Q of H are both closed under
+  the product and |P||Q| = |H|, then H = P x Q.  Lazard's recursion
+  D_1 = P, D_k = [D_{k-1}, P] D_{ceil(k/p)}^p gives the dimension
+  subgroups of P.  Jennings' theorem gives the jumps of F_p[P] as the
+  coefficients of prod_k (1 + t^k + ... + t^{k(p-1)})^{d_k}, with
+  d_k = log_p |D_k / D_{k+1}|.  Then dim I_H^k = dim I_P^k + |P|(|Q| - 1)
+  for k >= 1.
+- Every other group spans each power with products of
+  ``delta_g - delta_e`` factors and row-reduces.
+
+Membership in a power reads per-level echelon bases from the second path.
+They are built on the first ``FiltrationProfile.contains`` call for a
+(p, table) pair.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from itertools import product as _iterproduct
 from typing import Iterable, Sequence
 
@@ -413,7 +426,10 @@ class FiltrationProfile:
     the first k with equal consecutive dimensions (``stabilization_k``);
     powers are nested, so equal dimensions there mean equal subspaces and
     the filtration is constant afterwards.  ``nilpotent`` records whether
-    the dimensions reach 0.  Each level keeps an echelon, not reduced, basis.
+    the dimensions reach 0.  The module docstring says which path computes
+    them; ``contains`` reads echelon bases built on its first call.  A
+    ``k_max`` window that ends before ``stabilization_k`` refuses
+    ``lambda_at`` and ``delta_dim_at`` beyond it.
     """
 
     p: int
@@ -422,23 +438,31 @@ class FiltrationProfile:
     lambdas: tuple[int, ...]
     nilpotent: bool
     stabilization_k: int
-    _bases: tuple = field(repr=False, compare=False)
 
-    def lambda_at(self, k: int) -> int:
+    def _check_k(self, k: int, known: int) -> None:
         if k < 0:
             raise ValueError("k must be non-negative")
+        last = len(self.delta_dims) - 1
+        if k >= known and last < self.stabilization_k:
+            raise ValueError(
+                f"k = {k} is past this truncated profile, which ends at k = {last} "
+                f"before the filtration stabilizes at k = {self.stabilization_k}"
+            )
+
+    def lambda_at(self, k: int) -> int:
+        self._check_k(k, len(self.lambdas))
         return self.lambdas[k] if k < len(self.lambdas) else 0
 
     def delta_dim_at(self, k: int) -> int:
-        if k < 0:
-            raise ValueError("k must be non-negative")
+        self._check_k(k, len(self.delta_dims))
         return self.delta_dims[min(k, len(self.delta_dims) - 1)]
 
     def contains(self, k: int, v: GroupRingElement) -> bool:
         """Membership of ``v`` in the k-th power, by pivot-order reduction against the echelon basis."""
         if v.group.table_hash != self.group.table_hash or v.p != self.p:
             raise ValueError("element does not live in this profile's group ring")
-        basis, pivots = self._bases[min(k, len(self._bases) - 1)]
+        bases = _level_bases(self.p, self.group)
+        basis, pivots = bases[min(k, len(bases) - 1)]
         vec = v.coeffs.copy()
         for row, c in zip(basis, pivots):
             f = int(vec[c])
@@ -448,9 +472,16 @@ class FiltrationProfile:
 
 
 _PROFILE_CACHE: dict[tuple[int, str], FiltrationProfile] = {}
+_BASES_CACHE: dict[tuple[int, str], tuple[tuple[np.ndarray, tuple[int, ...]], ...]] = {}
 
 
-def _compute_profile(p: int, group: OrderedGroup) -> FiltrationProfile:
+def _level_bases(p: int, group: OrderedGroup) -> tuple[tuple[np.ndarray, tuple[int, ...]], ...]:
+    """Echelon basis and pivots of each power of the augmentation ideal, by
+    elimination, up to the first zero or repeated dimension; cached per
+    (p, multiplication table)."""
+    key = (p, group.table_hash)
+    if key in _BASES_CACHE:
+        return _BASES_CACHE[key]
     n = group.size
     gens = group.generating_set()
     eye = np.eye(n, dtype=np.int64)
@@ -478,26 +509,92 @@ def _compute_profile(p: int, group: OrderedGroup) -> FiltrationProfile:
         current = basis
         if len(dims) > n + 1:  # cannot happen: dims strictly decrease until stable
             raise RuntimeError("filtration failed to stabilize")
+    _BASES_CACHE[key] = tuple(bases)
+    return _BASES_CACHE[key]
+
+
+def _jennings_dims(p: int, group: OrderedGroup) -> list[int] | None:
+    """The dimensions ``_level_bases`` finds, from the Jennings series (see
+    the module docstring) when the group is P x Q; None for any other group.
+    |Q| is prime to p, so I_Q = I_Q^2 and F_p[H] = F_p[P] (x) F_p[Q] add
+    |P|(|Q| - 1) to each dim I_P^k with k >= 1."""
+    mult, e, n = group.mult, group.identity_index, group.size
+    idx = np.arange(n)
+    order = np.zeros(n, dtype=np.int64)
+    power, k = idx, 1  # power[g] = g^k
+    while not order.all():
+        order[(power == e) & (order == 0)] = k
+        power, k = mult[power, idx], k + 1
+        if k == p:  # reached whenever p divides |H|, which is when g^p is read
+            pth = power
+    p_part = 1
+    while n % (p_part * p) == 0:
+        p_part *= p
+    in_p, in_q = p_part % order == 0, order % p != 0
+    ps, qs = np.flatnonzero(in_p), np.flatnonzero(in_q)
+    if len(ps) * len(qs) != n or not (in_p[mult[np.ix_(ps, ps)]].all() and in_q[mult[np.ix_(qs, qs)]].all()):
+        return None
+
+    def generated(elements: np.ndarray) -> np.ndarray:
+        mask = np.zeros(n, dtype=bool)
+        mask[e] = True
+        mask[elements] = True
+        while True:
+            members = np.flatnonzero(mask)
+            mask = np.zeros(n, dtype=bool)
+            mask[mult[np.ix_(members, members)]] = True  # contains members, as e does
+            if mask.sum() == len(members):
+                return mask
+
+    # [A, P] for A normal is generated by the [a, s] with s in a generating
+    # set of H: [a, xs] = [a, s][a, x][[a, x], s], and Q commutes with P
+    gens = np.array(group.generating_set(), dtype=np.int64)
+    inv = group.inverse_table
+    series, step = [in_p], {}  # series[k - 1] is the mask of D_k
+    while series[-1].sum() > 1:
+        k = len(series) + 1
+        prev, lower = series[k - 2], series[-(-k // p) - 1]
+        key = (prev.tobytes(), lower.tobytes())
+        if key not in step:
+            a = np.flatnonzero(prev)[:, None]
+            commutators = mult[mult[inv[a], inv[gens]], mult[a, gens]]
+            step[key] = generated(np.concatenate([commutators.ravel(), pth[lower]]))
+        series.append(step[key])
+    lam = np.ones(1, dtype=np.int64)
+    for k, (big, small) in enumerate(zip(series, series[1:]), start=1):
+        ratio = int(big.sum()) // int(small.sum())
+        while ratio > 1:  # one factor per F_p-dimension of D_k / D_{k+1}
+            ratio //= p
+            grown = np.zeros(len(lam) + k * (p - 1), dtype=np.int64)
+            for i in range(p):
+                grown[i * k : i * k + len(lam)] += lam
+            lam = grown
+    dims_p = [int(x) for x in np.cumsum(lam[::-1])[::-1]] + [0]
+    rest = n - len(ps)  # |P| (|Q| - 1)
+    return dims_p if rest == 0 else [n] + [d + rest for d in dims_p[1:]] + [rest]
+
+
+def _profile(p: int, group: OrderedGroup, dims: Sequence[int]) -> FiltrationProfile:
     nilpotent = dims[-1] == 0
-    stabilization_k = len(dims) - 1 if nilpotent else len(dims) - 2
-    lambdas = tuple(dims[k] - dims[k + 1] for k in range(len(dims) - 1))
     return FiltrationProfile(
         p=p,
         group=group,
         delta_dims=tuple(dims),
-        lambdas=lambdas,
+        lambdas=tuple(dims[k] - dims[k + 1] for k in range(len(dims) - 1)),
         nilpotent=nilpotent,
-        stabilization_k=stabilization_k,
-        _bases=tuple(bases),
+        stabilization_k=len(dims) - 1 if nilpotent else len(dims) - 2,
     )
 
 
 def filtration_profile(p: int, group: OrderedGroup, k_max: int | None = None) -> FiltrationProfile:
     """Filtration profile of F_p[group], cached per (p, multiplication table).
 
-    The filtration always stabilizes within ``|group|`` steps, so the
-    full profile is computed once; ``k_max`` (default ``|group|``) only
-    truncates the reported dimension and jump sequences.
+    The dimensions come from the Jennings series when the group is the
+    direct product of its p-elements and its p'-elements, and from
+    elimination otherwise; the table alone decides.  The filtration always
+    stabilizes within ``|group|`` steps, so the full profile is computed
+    once; ``k_max`` (default ``|group|``) truncates the reported dimension
+    and jump sequences.
     """
     check_prime(p)
     if k_max is not None and k_max < 1:
@@ -505,16 +602,10 @@ def filtration_profile(p: int, group: OrderedGroup, k_max: int | None = None) ->
     key = (p, group.table_hash)
     profile = _PROFILE_CACHE.get(key)
     if profile is None:
-        profile = _compute_profile(p, group)
-        _PROFILE_CACHE[key] = profile
+        dims = _jennings_dims(p, group)
+        if dims is None:
+            dims = [len(pivots) for _, pivots in _level_bases(p, group)]
+        profile = _PROFILE_CACHE[key] = _profile(p, group, dims)
     if k_max is not None and k_max + 1 < len(profile.delta_dims):
-        return FiltrationProfile(
-            p=profile.p,
-            group=profile.group,
-            delta_dims=profile.delta_dims[: k_max + 1],
-            lambdas=profile.lambdas[:k_max],
-            nilpotent=profile.nilpotent,
-            stabilization_k=profile.stabilization_k,
-            _bases=profile._bases[: k_max + 1],
-        )
+        return replace(profile, delta_dims=profile.delta_dims[: k_max + 1], lambdas=profile.lambdas[:k_max])
     return profile

@@ -247,7 +247,10 @@ def parse_presentation(text: str) -> Presentation:
                 i += 2
                 if tokens[i][0] != "int":
                     raise _syntax_error(text, tokens[i], f"expected 'int', found {tokens[i][1]!r}")
-                exponent = int(tokens[i][1])
+                magnitude = tokens[i][1].lstrip("+-").lstrip("0")
+                if len(magnitude) > 4300:  # int() refuses text this long; |a^k| >= 10^4300 letters
+                    check_entry_count(10**4300, "presentation")
+                exponent = int(magnitude or "0") * (-1 if tokens[i][1][0] == "-" else 1)
             i += 1
             count += abs(exponent)
             check_entry_count(count, "presentation")  # before a^k is expanded

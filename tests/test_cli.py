@@ -263,6 +263,18 @@ class TestMatrixCapVariable:
         assert res.stderr.startswith("error: presentation needs 1001 entries, above the cap of 1000")
         assert self.run_hcc("1001", argv).returncode == 0
 
+    def test_exponent_too_long_to_convert_is_capped(self, tmp_path, capsys):
+        # 5,000 digits: beyond the 4,300-digit limit of int() on text
+        pres = tmp_path / "huge.pres"
+        pres.write_text(f"< a | a^{'9' * 5000} >\n")
+        code, out, err = run_cli(["present", "--pres", str(pres), "--p", "2"], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: presentation needs at least 10^4300 entries, above the cap of")
+        # leading zeros do not count: this is a^-3
+        pres.write_text(f"< a | a^-{'0' * 5000}3 >\n")
+        code, out, _ = run_cli(["present", "--pres", str(pres), "--p", "3"], capsys)
+        assert code == 0 and json.loads(out)["boundary"] == [[0]]
+
 
 class TestSelfcheckAndExitCodes:
     def test_usage_error_is_exit_one(self, capsys):

@@ -1,10 +1,13 @@
+import dataclasses
+import json
+import time
 import tracemalloc
 from itertools import permutations
 
 import numpy as np
 import pytest
 
-from hcc import fpexact
+from hcc import cli, corpus, fpexact, groupring
 from hcc.fpexact import CapExceededError
 from hcc.groupring import (
     GroupRingElement,
@@ -259,6 +262,26 @@ class TestFiltration:
         assert prof.lambdas == (1, 1)
         assert prof.nilpotent  # global fact, not window-relative
 
+    def test_k_max_window_answers_as_the_full_profile(self):
+        g = make_cyclic(4)
+        prof = filtration_profile(2, g, k_max=1)
+        x = GroupRingElement.delta(g, 2, 1) - GroupRingElement.delta(g, 2, 0)  # in I^1, not in I^2
+        assert prof.contains(1, x)
+        assert not prof.contains(2, x)
+        assert prof.delta_dim_at(1) == 3 and prof.lambda_at(0) == 1
+        # the window ends at k = 1, before the filtration stabilizes at k = 4
+        with pytest.raises(ValueError, match="before the filtration stabilizes at k = 4"):
+            prof.delta_dim_at(3)
+        with pytest.raises(ValueError, match="past this truncated profile"):
+            prof.lambda_at(1)
+        full = filtration_profile(2, g)
+        assert (full.delta_dim_at(3), full.lambda_at(1), full.delta_dim_at(9), full.lambda_at(9)) == (1, 1, 0, 0)
+
+    def test_k_max_window_reaching_stabilization_answers_beyond_it(self):
+        prof = filtration_profile(3, make_cyclic(2), k_max=1)
+        assert prof.delta_dims == (2, 1) and prof.stabilization_k == 1
+        assert prof.delta_dim_at(5) == 1 and prof.lambda_at(5) == 0
+
     def test_cache_returns_same_object(self):
         g = make_cyclic(9)
         assert filtration_profile(3, g) is filtration_profile(3, g)
@@ -304,17 +327,26 @@ def quaternion(a, b):
     return (z1 * z2 - w1 * w2.conjugate(), z1 * w2 + w1 * z2.conjugate())
 
 
+def heisenberg(a, b):
+    # upper unitriangular 3 x 3 matrices mod 3 as (x, y, z): [[1, x, z], [0, 1, y], [0, 0, 1]]
+    return ((a[0] + b[0]) % 3, (a[1] + b[1]) % 3, (a[2] + b[2] + a[0] * b[1]) % 3)
+
+
 PROFILE_GROUPS = {
     "D4": generated_group([(1, 2, 3, 0), (3, 2, 1, 0)], compose),
     "Q8": generated_group([(1j, 0j), (0j, 1 + 0j)], quaternion),
     "S3": generated_group([(1, 0, 2), (1, 2, 0)], compose),
     "A4": generated_group([(1, 2, 0, 3), (1, 0, 3, 2)], compose),
+    "D5": generated_group([(1, 2, 3, 4, 0), (4, 3, 2, 1, 0)], compose),
+    "D8": generated_group([(1, 2, 3, 4, 5, 6, 7, 0), (7, 6, 5, 4, 3, 2, 1, 0)], compose),
+    "Heis3": generated_group([(1, 0, 0), (0, 1, 0)], heisenberg),
 }
 
 
 def test_profile_groups_are_the_named_tables():
     # order, and the number of elements of order 2
-    for name, shape in (("D4", (8, 5)), ("Q8", (8, 1)), ("S3", (6, 3)), ("A4", (12, 3))):
+    for name, shape in (("D4", (8, 5)), ("Q8", (8, 1)), ("S3", (6, 3)), ("A4", (12, 3)),
+                        ("D5", (10, 5)), ("D8", (16, 9)), ("Heis3", (27, 0))):
         g = PROFILE_GROUPS[name]
         involutions = sum(1 for x in range(g.size) if x != g.identity_index and g.op(x, x) == g.identity_index)
         assert (g.size, involutions) == shape, name
@@ -399,3 +431,113 @@ def test_profile_against_reference_elimination(name, group, p):
             assert prof.contains(k, GroupRingElement(group, p, v)) == answer, (k, v)
             answers.append(answer)
     assert True in answers and False in answers
+
+
+def relabelled(group, rng):
+    """The same group under a random order of its elements, as a .tbl file may give it."""
+    perm = rng.permutation(group.size)
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(group.size)
+    return OrderedGroup(perm[group.mult[inv][:, inv]])
+
+
+def assert_eliminated_profile(prof, p, group):
+    """Every field of ``prof`` equals that of the linear-algebra path, which
+    takes one echelon basis per level; groups compare by their table."""
+    expected = groupring._profile(p, group, [len(pivots) for _, pivots in groupring._level_bases(p, group)])
+    for f in dataclasses.fields(expected):
+        got, want = getattr(prof, f.name), getattr(expected, f.name)
+        if f.name == "group":
+            got, want = got.table_hash, want.table_hash
+        assert got == want, (f.name, p, group.size)
+
+
+@pytest.fixture()
+def elimination_calls(monkeypatch):
+    """Empty profile caches and a count of the groups that went through elimination."""
+    calls = []
+    level_bases = groupring._level_bases
+
+    def counted(p, group):
+        calls.append((p, group.size))
+        return level_bases(p, group)
+
+    monkeypatch.setattr(groupring, "_PROFILE_CACHE", {})
+    monkeypatch.setattr(groupring, "_BASES_CACHE", {})
+    monkeypatch.setattr(groupring, "_level_bases", counted)
+    return calls
+
+
+def random_nilpotent_product(rng):
+    """A p-group times a p'-group, for a random prime p."""
+    p = int(rng.choice([2, 3, 5, 7]))
+    p_groups = [make_cyclic(p ** int(rng.integers(0, 4 if p < 5 else 3)))]
+    p_groups.append(make_elementary_abelian(p, int(rng.integers(1, 6 if p == 2 else 3))))
+    if p == 2:
+        p_groups += [PROFILE_GROUPS[name] for name in ("D4", "Q8", "D8")]
+    if p == 3:
+        p_groups.append(PROFILE_GROUPS["Heis3"])
+    q_groups = [make_cyclic(m) for m in range(1, 8) if m % p]
+    if p >= 5:
+        q_groups.append(PROFILE_GROUPS["S3"])
+    a = p_groups[rng.integers(len(p_groups))]
+    b = q_groups[rng.integers(len(q_groups))]
+    return p, relabelled(make_product(a, b), rng)
+
+
+def test_jennings_profile_matches_elimination_on_random_products(elimination_calls):
+    rng = np.random.default_rng(20261018)
+    for _ in range(40):
+        p, group = random_nilpotent_product(rng)
+        prof = filtration_profile(p, group)
+        assert not elimination_calls, (p, group.size)
+        assert_eliminated_profile(prof, p, group)
+        elimination_calls.clear()
+
+
+def workload_groups():
+    """The target groups of the filtration benchmark and of the corpus."""
+    pairs = [(127, make_cyclic(127)), (2, make_cyclic(128))]
+    pairs += [(p, make_cyclic(n)) for p, n in ((2, 96), (3, 81), (5, 125), (7, 98), (2, 105), (3, 100),
+                                               (5, 64), (7, 120), (3, 27), (5, 25))]
+    pairs += [(p, make_elementary_abelian(p, r)) for p, r in ((2, 8), (3, 5), (2, 6), (3, 4), (5, 3), (7, 2), (2, 5))]
+    pairs += [(2, PROFILE_GROUPS["D4"]), (2, PROFILE_GROUPS["Q8"]), (3, PROFILE_GROUPS["Heis3"])]
+    pairs += [(2, make_product(make_cyclic(2), make_cyclic(4))), (2, make_product(PROFILE_GROUPS["Q8"], make_cyclic(2))),
+              (3, make_product(make_cyclic(3), make_cyclic(9)))]
+    pairs += [(item.p, corpus.build_target(item)) for item in corpus.CORPUS]
+    return pairs
+
+
+def test_workload_and_corpus_groups_take_the_jennings_path(elimination_calls):
+    rng = np.random.default_rng(7)
+    for p, group in workload_groups():
+        group = relabelled(group, rng)
+        prof = filtration_profile(p, group)
+        assert not elimination_calls, (p, group.size)
+        assert_eliminated_profile(prof, p, group)
+        elimination_calls.clear()
+
+
+@pytest.mark.parametrize(
+    "name, p",
+    [("S3", 2), ("S3", 3), ("A4", 2), ("A4", 3), ("D5", 2), ("S3xZ3", 3)],
+)
+def test_groups_not_nilpotent_at_p_take_the_fallback(elimination_calls, name, p):
+    group = make_product(PROFILE_GROUPS["S3"], make_cyclic(3)) if name == "S3xZ3" else PROFILE_GROUPS[name]
+    assert groupring._jennings_dims(p, group) is None
+    prof = filtration_profile(p, group)
+    assert elimination_calls == [(p, group.size)]
+    assert_eliminated_profile(prof, p, group)
+
+
+def test_cyclic_1024_is_uniserial_and_fast(capsys):
+    # F_2[Z_1024] = F_2[x]/(x^1024): every level drops by one
+    start = time.perf_counter()
+    code = cli.main(["ring", "--p", "2", "--cyclic", "1024"])
+    elapsed = time.perf_counter() - start
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["delta_dims"] == list(range(1024, -1, -1))
+    assert payload["lambdas"] == [1] * 1024
+    assert payload["nilpotent"] and payload["stabilization_k"] == 1024
+    assert elapsed < 10.0, elapsed
