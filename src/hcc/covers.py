@@ -208,11 +208,14 @@ def build_cover(pres: Presentation, hom: Homomorphism, p: int) -> CoverComplex:
 
     seeds = np.zeros((m, n, H), dtype=np.int64)
     for i, rel in enumerate(pres.relators):
-        images = hom.prefix_images(rel)
+        images = np.array(hom.prefix_images(rel))
         for j in range(n):
-            # fox_derivative's prefixes are the leading slices of rel
-            for sign, prefix in fox_derivative(rel, j):
-                seeds[i, j, images[len(prefix)]] += sign
+            # fox_derivative's prefixes are the leading slices of rel: a
+            # term's prefix image is read off its length
+            terms = fox_derivative(rel, j)
+            if terms:
+                ends = [len(prefix) for _, prefix in terms]
+                np.add.at(seeds[i, j], images[ends], [sign for sign, _ in terms])
     seeds %= p
     seeds.setflags(write=False)
     d2 = FpMatrix._wrap(equivariant_block(group, seeds), p)

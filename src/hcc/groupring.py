@@ -222,15 +222,18 @@ def make_elementary_abelian(p: int, r: int, label: str | None = None) -> Ordered
     n = p**r
     tuples = sorted(_iterproduct(range(p), repeat=r), key=lambda t: (sum(t), tuple(-c for c in t)))
     radix = np.array([p ** (r - 1 - i) for i in range(r)], dtype=np.int64)
+    codes = np.array(tuples, dtype=np.int64) @ radix  # base-p code of each element
     index_of_code = np.empty(n, dtype=np.int64)
-    coords = np.array(tuples, dtype=np.int64)
-    index_of_code[coords @ radix] = np.arange(n)
-    # build the table in row blocks to bound peak memory
-    table = np.empty((n, n), dtype=np.int64)
-    block = max(1, 8_000_000 // (n * r))
-    for s in range(0, n, block):
-        sums = (coords[s : s + block, None, :] + coords[None, :, :]) % p
-        table[s : s + block] = index_of_code[sums @ radix]
+    index_of_code[codes] = np.arange(n)
+    # the addition table of the codes, one base-p digit at a time: in
+    # (Z_p)^(k+1), (x p + a) + (y p + b) = (x + y) p + (a + b)
+    digit = np.add.outer(np.arange(p), np.arange(p)) % p
+    code_table = digit
+    for _ in range(r - 1):
+        m = code_table.shape[0] * p
+        code_table = (code_table[:, None, :, None] * p + digit[None, :, None, :]).reshape(m, m)
+    np.take(index_of_code, code_table, out=code_table)  # codes to element indices
+    table = code_table[np.ix_(codes, codes)]
     names = []
     for t in tuples:
         if sum(t) == 0:

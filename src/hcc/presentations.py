@@ -25,6 +25,7 @@ against the entry cap, checked before each term is expanded.
 
 from __future__ import annotations
 
+import itertools
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -33,7 +34,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import fpexact
-from .fpexact import FpMatrix, check_entry_count, check_prime
+from .fpexact import FpMatrix, check_entry_count, check_prime, entry_cap
 
 __all__ = [
     "ComplexSummary",
@@ -69,26 +70,37 @@ def _free_reduce(letters: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], .
 
 
 class FreeWord:
-    """A freely reduced word: a sequence of (generator index, +-1) letters."""
+    """A freely reduced word: a sequence of (generator index, +-1) letters.
 
-    __slots__ = ("letters",)
+    A word holds a letter tuple and a length, and its letters are the
+    first ``len`` entries of that tuple.  A prefix of a longer word (as
+    ``fox_derivative`` returns them) shares the longer word's tuple, so it
+    is made in O(1) and sliced only when its ``letters`` are read.  Words
+    are immutable: ``letters`` is read-only and both slots are private.
+    """
+
+    __slots__ = ("_source", "_length")
 
     def __init__(self, letters: Iterable[tuple[int, int]] = ()):
         reduced = _free_reduce(letters)
-        for g, s in reduced:
+        for g, s in set(reduced):  # each distinct letter once
             if g < 0 or s not in (1, -1):
                 raise ValueError(f"bad letter ({g}, {s})")
-        object.__setattr__(self, "letters", reduced)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FreeWord is immutable")
+        self._source = reduced
+        self._length = len(reduced)
 
     @classmethod
     def _wrap(cls, letters: tuple[tuple[int, int], ...]) -> "FreeWord":
         # internal: letters already freely reduced and validated
         w = object.__new__(cls)
-        object.__setattr__(w, "letters", letters)
+        w._source = letters
+        w._length = len(letters)
         return w
+
+    @property
+    def letters(self) -> tuple[tuple[int, int], ...]:
+        source = self._source
+        return source if len(source) == self._length else source[: self._length]
 
     @classmethod
     def empty(cls) -> "FreeWord":
@@ -99,13 +111,13 @@ class FreeWord:
         return cls(((g, sign),))
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return self._length
 
     def __iter__(self):
         return iter(self.letters)
 
     def __bool__(self) -> bool:
-        return bool(self.letters)
+        return self._length > 0
 
     def __mul__(self, other: "FreeWord") -> "FreeWord":
         return FreeWord(self.letters + other.letters)
@@ -122,7 +134,7 @@ class FreeWord:
 
     def max_generator(self) -> int:
         """Largest generator index used, or -1 for the empty word."""
-        return max((g for g, _ in self.letters), default=-1)
+        return max(set(self.letters), default=(-1, 0))[0]
 
     def map_letters(self, image: Callable[[int, int], Iterable[tuple[int, int]]]) -> "FreeWord":
         """Substitute each letter by a word; the result is reduced."""
@@ -146,6 +158,14 @@ class FreeWord:
 
     def __repr__(self) -> str:
         return f"FreeWord({self.letters})"
+
+
+class _Prefix(FreeWord):
+    """A word made with no arguments, its slots set by the caller: the
+    prefixes ``fox_derivative`` returns, made without a Python-level call."""
+
+    __slots__ = ()
+    __init__ = object.__init__
 
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
@@ -194,77 +214,102 @@ class Presentation:
         return f"Presentation({self.to_text()})"
 
 
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<int>[+-]?[0-9]+)|(?P<sym>[<>|,^])|(?P<bad>.)"
-)
+# One token per match, with the whitespace before it skipped; a text with no
+# stray character (see _STRAY_RE) is covered by these tokens exactly.
+_TOKEN_RE = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*|[+-]?[0-9]+|[<>|,^])")
+_STRAY_RE = re.compile(r"[^\sA-Za-z_0-9<>|,^+-]|[+-](?![0-9])")
+_INT_START = frozenset("+-0123456789")
+_EOF = "end of input"  # the last token; it is what an error says it found
 
 
-def _syntax_error(text: str, token: tuple[str, str, int], message: str) -> PresentationSyntaxError:
-    pos = token[2]  # line and column are worked out from the offset only for an error
+def _syntax_error(text: str, k: int, message: str) -> PresentationSyntaxError:
+    """The error at token k.  Its offset, and from it the line and column,
+    are recomputed only here; the token after the last is the end of input."""
+    match = next(itertools.islice(_TOKEN_RE.finditer(text), k, None), None)
+    pos = len(text) if match is None else match.start(1)
     return PresentationSyntaxError(message, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
 
 
 def parse_presentation(text: str) -> Presentation:
     """Parse the presentation grammar; raises PresentationSyntaxError with
     line/column on malformed input."""
-    tokens = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN_RE.finditer(text) if m.lastgroup != "ws"]
-    for tok in tokens:  # a stray character is reported before any grammar error
-        if tok[0] == "bad":
-            raise _syntax_error(text, tok, f"unexpected character {tok[1]!r}")
-    tokens.append(("eof", "end of input", len(text)))  # its value is what an error says it found
-    if tokens[0][1] != "<":
-        raise _syntax_error(text, tokens[0], f"expected '<', found {tokens[0][1]!r}")
+    stray = _STRAY_RE.search(text)
+    if stray:  # a stray character is reported before any grammar error
+        pos = stray.start()
+        line, col = text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+        raise PresentationSyntaxError(f"unexpected character {stray.group()!r}", line, col)
+    tokens = _TOKEN_RE.findall(text.rstrip())  # rstrip: no trailing whitespace to rescan
+    tokens.append(_EOF)
+    if tokens[0] != "<":
+        raise _syntax_error(text, 0, f"expected '<', found {tokens[0]!r}")
     index: dict[str, int] = {}  # generator name -> index
     duplicate = None  # the first repeated name, reported after the whole list
     i = 1
     while True:
         tok = tokens[i]
-        if tok[0] != "ident":
-            raise _syntax_error(text, tok, f"expected 'ident', found {tok[1]!r}")
-        if duplicate is None and tok[1] in index:
-            duplicate = tok[1]
-        index.setdefault(tok[1], len(index))
-        if tokens[i + 1][1] != ",":
+        if not _IDENT_RE.fullmatch(tok):
+            raise _syntax_error(text, i, f"expected 'ident', found {tok!r}")
+        if duplicate is None and tok in index:
+            duplicate = tok
+        index.setdefault(tok, len(index))
+        if tokens[i + 1] != ",":
             break
         i += 2
-    tok = tokens[i + 1]
+    i += 1
     if duplicate is not None:
-        raise _syntax_error(text, tok, f"duplicate generator {duplicate!r}")
-    if tok[1] != "|":
-        raise _syntax_error(text, tok, f"expected '|', found {tok[1]!r}")
-    i += 2
+        raise _syntax_error(text, i, f"duplicate generator {duplicate!r}")
+    if tokens[i] != "|":
+        raise _syntax_error(text, i, f"expected '|', found {tokens[i]!r}")
+    i += 1
+    # one (letter, inverse) pair of tuples per name: letters compare by identity
+    letter = {name: ((g, 1), (g, -1)) for name, g in index.items()}
     relators: list[FreeWord] = []
     count = 0  # letters of the presentation so far, capped like a matrix
-    while tokens[i][1] != ">" or relators:  # '>' may close an empty list, but not follow a ','
-        letters: list[tuple[int, int]] = []
+    cap = -1  # the first term reads the cap through check_entry_count
+    while tokens[i] != ">" or relators:  # '>' may close an empty list, but not follow a ','
+        out: list[tuple[int, int]] = []  # the relator so far, freely reduced
         start = i
-        while tokens[i][0] == "ident":
-            tok = tokens[i]
-            if tok[1] not in index:
-                raise _syntax_error(text, tok, f"unknown generator {tok[1]!r}")
+        while True:
+            pair = letter.get(tokens[i])
+            if pair is None:
+                break
+            i += 1
             exponent = 1
-            if tokens[i + 1][1] == "^":
-                i += 2
-                if tokens[i][0] != "int":
-                    raise _syntax_error(text, tokens[i], f"expected 'int', found {tokens[i][1]!r}")
-                magnitude = tokens[i][1].lstrip("+-").lstrip("0")
+            if tokens[i] == "^":
+                tok = tokens[i + 1]
+                if tok[0] not in _INT_START:
+                    raise _syntax_error(text, i + 1, f"expected 'int', found {tok!r}")
+                magnitude = tok.lstrip("+-").lstrip("0")
                 if len(magnitude) > 4300:  # int() refuses text this long; |a^k| >= 10^4300 letters
                     check_entry_count(10**4300, "presentation")
-                exponent = int(magnitude or "0") * (-1 if tokens[i][1][0] == "-" else 1)
-            i += 1
-            count += abs(exponent)
-            check_entry_count(count, "presentation")  # before a^k is expanded
-            letters.extend(((index[tok[1]], 1 if exponent >= 0 else -1),) * abs(exponent))
+                exponent = int(magnitude or "0")
+                if tok[0] == "-":
+                    pair = pair[::-1]
+                i += 2
+            count += exponent
+            if count > cap:  # before a^k is expanded
+                check_entry_count(count, "presentation")
+                cap = entry_cap()
+            x, inverse = pair
+            while exponent and out and out[-1] is inverse:
+                out.pop()
+                exponent -= 1
+            if exponent == 1:
+                out.append(x)
+            elif exponent:
+                out += (x,) * exponent
+        if _IDENT_RE.fullmatch(tokens[i]):
+            raise _syntax_error(text, i, f"unknown generator {tokens[i]!r}")
         if i == start:
-            raise _syntax_error(text, tokens[i], "expected a word")
-        relators.append(FreeWord(letters))
-        if tokens[i][1] != ",":
+            raise _syntax_error(text, i, "expected a word")
+        relators.append(FreeWord._wrap(tuple(out)))
+        if tokens[i] != ",":
             break
         i += 1
-    if tokens[i][1] != ">":
-        raise _syntax_error(text, tokens[i], f"expected '>', found {tokens[i][1]!r}")
-    if tokens[i + 1][0] != "eof":
-        raise _syntax_error(text, tokens[i + 1], f"expected 'eof', found {tokens[i + 1][1]!r}")
+    if tokens[i] != ">":
+        raise _syntax_error(text, i, f"expected '>', found {tokens[i]!r}")
+    if i + 2 != len(tokens):
+        raise _syntax_error(text, i + 1, f"expected 'eof', found {tokens[i + 1]!r}")
     return Presentation(tuple(index), tuple(relators))
 
 
@@ -275,13 +320,18 @@ def fox_derivative(word: FreeWord, j: int) -> tuple[tuple[int, FreeWord], ...]:
     a positive occurrence of a_j contributes + (prefix before it); a
     negative occurrence contributes - (prefix including it).
     """
-    letters = word.letters
-    # every prefix of a reduced word is reduced, so prefixes are plain slices
-    return tuple(
-        (s, FreeWord._wrap(letters[: k if s == 1 else k + 1]))
-        for k, (g, s) in enumerate(letters)
-        if g == j
-    )
+    # every prefix of a reduced word is reduced: each one shares the word's
+    # letter tuple and differs only in its length, so a term costs O(1)
+    source = word._source
+    terms = []
+    append = terms.append
+    for k, (g, s) in enumerate(word.letters):
+        if g == j:
+            prefix = _Prefix()
+            prefix._source = source
+            prefix._length = k if s == 1 else k + 1
+            append((s, prefix))
+    return tuple(terms)
 
 
 @dataclass(frozen=True)
@@ -353,6 +403,7 @@ def normalize_presentation(pres: Presentation, p: int) -> Presentation:
         if op.kind == "S":
             relators[op.i], relators[op.j] = relators[op.j], relators[op.i]
         else:
+            check_entry_count(len(relators[op.i]) + abs(op.q) * len(relators[op.j]), "presentation")
             relators[op.i] = relators[op.i] * relators[op.j] ** op.q
     for op in snf.left_ops:
         if op.kind == "S":
@@ -376,6 +427,9 @@ def normalize_presentation(pres: Presentation, p: int) -> Presentation:
                     return ((g, s),)
                 return positive if s == 1 else negative
 
+            for w in relators:  # each a_i^+-1 becomes 1 + q letters
+                occurrences = w.letters.count((i, 1)) + w.letters.count((i, -1))
+                check_entry_count(len(w) + q * occurrences, "presentation")
             relators = [w.map_letters(subst) for w in relators]
     result = Presentation(pres.generator_names, tuple(relators))
     expected = fpexact.block_diagonal(snf.diagonal, summary.boundary.rows, summary.boundary.cols, p)

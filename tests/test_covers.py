@@ -20,6 +20,7 @@ from hcc.groupring import (
     make_cyclic,
     make_elementary_abelian,
     make_product,
+    parse_group_table,
     ring_mul,
 )
 from hcc.presentations import (
@@ -29,7 +30,9 @@ from hcc.presentations import (
     fox_derivative,
     normalize_presentation,
     parse_presentation,
+    reidemeister_schreier,
 )
+from test_groupring import PROFILE_GROUPS
 
 TORUS = "< a, b | a b a^-1 b^-1 >"
 
@@ -286,17 +289,19 @@ def symmetric_group_3():
     return OrderedGroup([[index[tuple(a[b[k]] for k in range(3))] for b in perms] for a in perms])
 
 
-def random_case(rng):
+def random_case(rng, group=None):
     """A random presentation (<= 4 generators, <= 3 relators) with a
-    compatible map onto an abelian, cyclic, product or nonabelian group."""
+    compatible map onto ``group``, or else onto an abelian, cyclic,
+    product or nonabelian group drawn at random."""
     p = int(rng.choice([2, 3, 5]))
-    group = [
-        make_elementary_abelian(2, 2),
-        make_elementary_abelian(3, 2),
-        make_cyclic(int(rng.integers(2, 7))),
-        make_product(make_cyclic(2), make_cyclic(3)),
-        symmetric_group_3(),
-    ][int(rng.integers(0, 5))]
+    if group is None:
+        group = [
+            make_elementary_abelian(2, 2),
+            make_elementary_abelian(3, 2),
+            make_cyclic(int(rng.integers(2, 7))),
+            make_product(make_cyclic(2), make_cyclic(3)),
+            symmetric_group_3(),
+        ][int(rng.integers(0, 5))]
     n = int(rng.integers(1, 5))
     images = [int(x) for x in rng.integers(0, group.size, size=n)]
     letters = [(j, 1) for j in range(n)] + [(j, -1) for j in range(n)]
@@ -373,11 +378,61 @@ class TestSeedAssembly:
         assert len(calls) == 1
         assert cover.hom.image_order == 2 and not cover.hom.surjective and cover.b0 == 2
 
+    def test_long_commutator_cover_is_linear(self):
+        # Fox prefixes share the relator's letters, so an 8,000-letter
+        # relator costs O(length); prefixes copied as slices cost O(length^2),
+        # about 0.7 s here
+        rng = np.random.default_rng(8204)
+        letters = []
+        while len(FreeWord(letters)) < 8000:
+            u, v = ([(int(g), int(s)) for g, s in zip(rng.integers(0, 2, k), rng.choice([1, -1], k))]
+                    for k in rng.integers(1, 7, size=2))
+            letters += u + v + [(g, -s) for g, s in reversed(u)] + [(g, -s) for g, s in reversed(v)]
+        pres = Presentation(("a", "b"), (FreeWord(letters),))
+        hom = Homomorphism(pres, make_elementary_abelian(2, 2), [1, 2])
+        elapsed = []
+        for _ in range(3):
+            start = time.perf_counter()
+            cover = build_cover(pres, hom, 2)
+            elapsed.append(time.perf_counter() - start)
+        assert min(elapsed) < 0.2
+        assert cover.b0 == 1 and cover.euler == 0  # |H| (1 - n + m) = 0
+
     def test_dropped_fox_term_is_caught(self, monkeypatch):
         fox = covers.fox_derivative
         monkeypatch.setattr(covers, "fox_derivative", lambda w, j: fox(w, j)[1:] if j == 0 else fox(w, j))
         with pytest.raises(RuntimeError, match="boundary maps do not compose to zero"):
             torus_cover()
+
+
+def table_text(group, rng):
+    """``group`` as a .tbl file: the identity labelled 0, every other
+    element under a random label."""
+    order = [group.identity_index] + [int(x) for x in rng.permutation(group.size) if x != group.identity_index]
+    label = {x: k for k, x in enumerate(order)}
+    rows = (" ".join(str(label[group.op(x, y)]) for y in order) for x in order)
+    return f"order {group.size}\n" + "\n".join(rows) + "\n"
+
+
+class TestTableTargets:
+    def test_random_covers_over_shuffled_tables(self):
+        # S3, A4 and D5 are the non-nilpotent groups whose filtration
+        # profiles take elimination; here they are deck groups read from .tbl text
+        rng = np.random.default_rng(20261019)
+        components = set()
+        for name in ("S3", "A4", "D5"):
+            for _ in range(10):
+                group = parse_group_table(table_text(PROFILE_GROUPS[name], rng))
+                pres, hom, p = random_case(rng, group)
+                cover = build_cover(pres, hom, p)
+                H, n, m = group.size, pres.n_generators, pres.n_relators
+                assert np.array_equal(cover.d2.array, reference_d2(pres, hom, p)), (name, pres, hom, p)
+                assert fpexact.rank(cover.d1) == H - cover.b0, (name, pres, hom, p)
+                assert cover.b0 - cover.b1 + cover.b2 == H * (1 - n + m), (name, pres, hom, p)
+                kernel = reidemeister_schreier(pres, hom)
+                assert cover.b1 == cover.b0 * complex_summary(kernel, p).b1, (name, pres, hom, p)
+                components.add(cover.b0)
+        assert 1 in components and len(components) > 1  # onto and not onto
 
 
 class TestBalancePattern:

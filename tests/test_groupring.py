@@ -55,6 +55,15 @@ class TestConstructors:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_elementary_abelian_table_is_coordinate_addition(self):
+        for p, r in ((2, 1), (2, 5), (2, 8), (3, 1), (3, 4), (5, 3), (7, 2), (13, 2)):
+            g = make_elementary_abelian(p, r)
+            coords = np.array(g.ea_tuples)
+            index = {t: i for i, t in enumerate(g.ea_tuples)}
+            sums = (coords[:, None, :] + coords[None, :, :]) % p
+            expected = [[index[tuple(int(c) for c in t)] for t in row] for row in sums]
+            assert g.mult.tolist() == expected, (p, r)
+
     def test_cyclic_trivial(self):
         g = make_cyclic(1)
         assert g.size == 1

@@ -253,6 +253,25 @@ class TestFoxDerivative:
                 )
                 assert img(left) == img(fox_derivative(u * v, j))
 
+    def test_prefixes_share_the_word_and_equal_its_slices(self):
+        rng = np.random.default_rng(30)
+        for _ in range(200):
+            n = int(rng.integers(1, 4))
+            w = FreeWord([(int(rng.integers(0, n)), int(rng.choice([1, -1]))) for _ in range(int(rng.integers(0, 40)))])
+            letters = w.letters
+            ends = []
+            for j in range(n):
+                for sign, prefix in fox_derivative(w, j):
+                    k = len(prefix)
+                    ends.append(k if sign == 1 else k - 1)
+                    expected = FreeWord._wrap(letters[:k])
+                    assert prefix == expected and expected == prefix
+                    assert hash(prefix) == hash(expected) == hash(letters[:k])
+                    assert prefix.letters == letters[:k] and bool(prefix) == (k > 0)
+                    assert letters[k if sign == 1 else k - 1] == (j, sign)
+                    assert prefix != FreeWord._wrap(letters[: k + 1]) or k == len(letters)
+            assert sorted(ends) == list(range(len(letters)))  # one term per letter
+
     def test_fundamental_identity(self):
         # sum_j d(w)/d(a_j) * (a_j - 1) == w - 1 after any finite quotient
         rng = np.random.default_rng(10)
@@ -332,6 +351,19 @@ class TestComplexSummary:
 
 
 class TestNormalize:
+    def test_long_word_refused_before_it_is_built(self):
+        # at p = 10007 the replayed substitution a -> a b^5002 would spell
+        # about 5 * 10^7 letters; its length is known before it is built
+        pres = parse_presentation("< a, b | a^2 b^3, a^5 b^7 >")
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError, match="^presentation needs [0-9]+ entries, above the cap"):
+                normalize_presentation(pres, 10007)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+
     def test_already_diagonal(self):
         pres = parse_presentation("< a, b | a a >")
         norm = normalize_presentation(pres, 3)
