@@ -7,10 +7,13 @@ over the group ring F_p[H]; ``equivariant_block`` expands a (rows, cols,
 |H|) array of group-ring entries into the |H|rows x |H|cols matrix whose
 row (i, g) is delta_g times entry (i, j) in column block j.  d2 expands
 the (relator, generator, element) array of images of Fox derivatives, d1
-the column delta_{phi(a_j)} - delta_e.  b0 is |H| over the order of the
-image, which the homomorphism records, so d2 is the only matrix
-eliminated; d1 is built for the d2 @ d1 = 0 certificate and as the oracle
-rank(d1) = |H| - b0.
+the column delta_{phi(a_j)} - delta_e.  The homomorphism records the
+elements of its image K, and b0 = [H : K].  Prefix images lie in K, so d2
+is block-diagonal over the cosets gK with every block equal to the K x K
+one: d2 is the only matrix eliminated, and only that block of it, with
+rank(d2) = [H : K] rank(block).  d2 and d1 are still built in full; d1
+carries the d2 @ d1 = 0 certificate, and both are oracles, rank(d1) =
+|H| - b0 and rank(d2) = |H| m - b2.
 
 Homomorphism text format, one line per generator::
 
@@ -60,13 +63,13 @@ class Homomorphism:
     """Generator images defining a map from the presented group to a finite group.
 
     Compatibility (every relator maps to the identity) is enforced at
-    construction; ``image_order`` is the order of the subgroup the images
-    generate.  ``letter_action[s][j]`` is the list ``group.mult[:, h]``
-    for h the image of a_j^s (s = +-1): entry x is x h, so every word walk
-    steps one letter by one list lookup.
+    construction; ``image`` lists, in index order, the elements of the
+    subgroup the images generate.  ``letter_action[s][j]`` is the list
+    ``group.mult[:, h]`` for h the image of a_j^s (s = +-1): entry x is x h,
+    so every word walk steps one letter by one list lookup.
     """
 
-    __slots__ = ("source", "group", "images", "letter_action", "image_order")
+    __slots__ = ("source", "group", "images", "letter_action", "image")
 
     def __init__(self, source: Presentation, group: OrderedGroup, images: Sequence[int]):
         images = tuple(int(x) for x in images)
@@ -87,7 +90,11 @@ class Homomorphism:
             img = self.word_image(rel)
             if img != group.identity_index:
                 raise IncompatibleHomomorphismError(i, img, group.element_names[img])
-        object.__setattr__(self, "image_order", len(group.closure(images)))
+        object.__setattr__(self, "image", tuple(sorted(group.closure(images))))
+
+    @property
+    def image_order(self) -> int:
+        return len(self.image)
 
     @property
     def surjective(self) -> bool:
@@ -230,9 +237,15 @@ def build_cover(pres: Presentation, hom: Homomorphism, p: int) -> CoverComplex:
     if not (FpMatrix._wrap(seeds.reshape(m, n * H), p) @ d1).is_zero():
         raise RuntimeError("boundary maps do not compose to zero")
 
-    # the components are the cosets of the image: b0 = [H : image]
-    r2 = fpexact.rank(d2)
+    # Prefix images lie in the image K, so d2 only joins (i, g) to (j, g k)
+    # with k in K: it is block-diagonal over the cosets gK, each block a
+    # copy of the K x K one.  The components are those cosets: b0 = [H : K].
     b0 = H // hom.image_order
+    block = d2
+    if b0 > 1:
+        cells = lambda count: (np.arange(count)[:, None] * H + hom.image).ravel()  # (i, k), k in K
+        block = FpMatrix._wrap(d2.array[np.ix_(cells(m), cells(n))], p)
+    r2 = b0 * fpexact.rank(block)
     r1 = H - b0
     b2 = H * m - r2
     b1 = H * n - r2 - r1

@@ -50,8 +50,9 @@ DEFAULT_ENTRY_CAP = 1 << 22
 MAX_PRIME = 1048573  # largest prime below 2^20: residue products stay below 2^40 in int64
 
 PANEL = 64  # _echelon's panel width; PANEL * (MAX_PRIME - 1)^2 < 2^53 keeps panel products exact
-DEFER_ENTRIES = 4096  # updates touching at least this many trailing entries are deferred
+DEFER_ENTRIES = 4096  # updates touching at least this many trailing entries are recorded, not applied
 _FLUSH_ROWS = 128  # rows per chunk of a deferred panel product, to bound its temporaries
+_LAZY_LIMIT = 1 << 62  # _echelon reduces its trailing block every panel if entries could grow this far
 
 _entry_cap: int | None = None  # read from HCC_MATRIX_CAP on first use
 
@@ -311,58 +312,87 @@ def _mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return acc
 
 
+def _panel_product(mult: np.ndarray, prows: np.ndarray) -> np.ndarray:
+    """``mult @ prows`` as int64, not reduced: both are float64 residue
+    arrays with inner dimension at most PANEL, so the product is exact."""
+    return (mult @ prows).astype(np.int64)
+
+
 def _echelon(a: np.ndarray, p: int, reduced: bool = False) -> list[int]:
     """Row-reduce ``a`` in place; returns the pivot column indices.
 
     Pivot rows are scaled to 1, which is fine here: this routine backs
     rank and membership computations, not the recorded normal form.
 
-    Columns go PANEL at a time, and the panel's own columns are always
-    current.  A large update clears only those; its multipliers (``mult``)
-    and pivot trailing part (``tail``) reach the trailing columns as one
-    product at the end of the panel, or before the row becomes a pivot.
+    Columns go PANEL at a time.  A small update is applied to its rows at
+    once.  A large one only clears its pivot column and records its
+    multipliers (``mult``) and pivot row (``prows``): each later column of
+    the panel is brought up to date by one product just before its pivot
+    search, a row before it becomes a pivot, and the trailing columns by
+    one product at the end of the panel.
+
+    Updates subtract without reducing mod p.  A column is reduced just
+    before its pivot search and a pivot row when it is chosen, so every
+    multiplier and pivot-row entry is a residue and every update is below
+    (p-1)^2.  An entry takes at most one update per pivot, so it stays
+    within min(rows, cols) (p-1)^2 + p of zero; where that could reach
+    _LAZY_LIMIT, the trailing block is reduced after every panel.  Rows
+    above the pivots (``reduced``) are reduced once at the end.
     """
     n_rows, n_cols = a.shape
     pivots: list[int] = []
     r = 0
+    reduce_panels = min(n_rows, n_cols) * (p - 1) ** 2 + p >= _LAZY_LIMIT
     for c0 in range(0, n_cols, PANEL):
         c1 = min(c0 + PANEL, n_cols)
-        mult = None  # allocated at the panel's first deferred update
+        k = 0  # updates recorded in this panel, in mult and prows
+        done = c0  # columns left of this one are up to date
         for c in range(c0, c1):
             if r == n_rows:
                 break
+            top = 0 if reduced else r
+            if k:
+                a[top:, c] -= _panel_product(mult[top:, :k], prows[:k, c - c0])
+            a[top:, c] %= p
+            done = c + 1
             nz = np.nonzero(a[r:, c])[0]
             if nz.size == 0:
                 continue
             i = r + int(nz[0])
             if i != r:
                 a[[r, i]] = a[[i, r]]
-                if mult is not None:
+                if k:
                     mult[[r, i]] = mult[[i, r]]
-            if mult is not None and mult[r].any():
-                a[r, c1:] = (a[r, c1:] - _mul_mod(mult[r : r + 1], tail, p)[0]) % p
+            if k and mult[r, :k].any():
+                a[r, c + 1 :] -= _panel_product(mult[r, :k], prows[:k, c + 1 - c0 :])
                 mult[r] = 0
             # rows r.. vanish left of column c, so only columns c.. change
+            a[r, c:] %= p
             piv = int(a[r, c])
             if piv != 1:
                 a[r, c:] = a[r, c:] * inv_mod(piv, p) % p
             rows = r + 1 + np.nonzero(a[r + 1 :, c])[0]
             if reduced and r:
                 rows = np.concatenate((np.nonzero(a[:r, c])[0], rows))
-            end = n_cols
             if rows.size * (n_cols - c1) >= DEFER_ENTRIES:
-                if mult is None:
-                    mult, tail = np.zeros((n_rows, c1 - c0)), np.zeros((c1 - c0, n_cols - c1))
-                mult[rows, c - c0] = a[rows, c]
-                tail[c - c0] = a[r, c1:]
-                end = c1
-            a[rows, c:end] = (a[rows, c:end] - np.outer(a[rows, c], a[r, c:end])) % p
+                if not k:  # the panel's first recorded update
+                    mult, prows = np.zeros((n_rows, c1 - c0)), np.zeros((c1 - c0, n_cols - c0))
+                mult[rows, k] = a[rows, c]
+                prows[k, c - c0 :] = a[r, c:]
+                k += 1
+                a[rows, c] = 0
+            else:
+                a[rows, c:] -= np.outer(a[rows, c], a[r, c:])
             pivots.append(c)
             r += 1
-        pending = () if mult is None else np.nonzero(mult.any(axis=1))[0]
+        pending = np.nonzero(mult[:, :k].any(axis=1))[0] if k else ()
         for s in range(0, len(pending), _FLUSH_ROWS):
             rows = pending[s : s + _FLUSH_ROWS]
-            a[rows, c1:] = (a[rows, c1:] - _mul_mod(mult[rows], tail, p)) % p
+            a[rows, done:] -= _panel_product(mult[rows, :k], prows[:k, done - c0 :])
+        if reduce_panels:
+            a[:, c1:] %= p
+    if reduced:
+        a[:r] %= p
     return pivots
 
 

@@ -65,6 +65,9 @@ class OrderedGroup:
     ``b``.  Construction validates the table: an identity must exist,
     every row and column must be a permutation, and associativity is
     checked with Light's test against a greedily chosen generating set.
+    ``make_cyclic`` and ``make_elementary_abelian`` skip the check: their
+    tables are groups by construction, with the identity first, and they
+    pass the inverses as ``_inverses``.
     """
 
     def __init__(
@@ -73,6 +76,7 @@ class OrderedGroup:
         label: str = "",
         element_names: Sequence[str] | None = None,
         ea_tuples: Sequence[tuple[int, ...]] | None = None,
+        _inverses: np.ndarray | None = None,
     ):
         table = np.asarray(mult, dtype=np.int64)
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
@@ -94,9 +98,12 @@ class OrderedGroup:
         )
         self._gens: tuple[int, ...] | None = None
         self._hash: str | None = None
-        self.identity_index = self._find_identity()
-        self._validate()
-        self.inverse_table = np.argmax(table == self.identity_index, axis=1)
+        if _inverses is None:
+            self.identity_index = self._find_identity()
+            self._validate()
+            self.inverse_table = np.argmax(table == self.identity_index, axis=1)
+        else:  # from make_cyclic or make_elementary_abelian: a group by construction, identity first
+            self.identity_index, self.inverse_table = 0, _inverses
         table.setflags(write=False)
 
     @property
@@ -222,7 +229,8 @@ def make_elementary_abelian(p: int, r: int, label: str | None = None) -> Ordered
     n = p**r
     tuples = sorted(_iterproduct(range(p), repeat=r), key=lambda t: (sum(t), tuple(-c for c in t)))
     radix = np.array([p ** (r - 1 - i) for i in range(r)], dtype=np.int64)
-    codes = np.array(tuples, dtype=np.int64) @ radix  # base-p code of each element
+    coords = np.array(tuples, dtype=np.int64)
+    codes = coords @ radix  # base-p code of each element
     index_of_code = np.empty(n, dtype=np.int64)
     index_of_code[codes] = np.arange(n)
     # the addition table of the codes, one base-p digit at a time: in
@@ -234,6 +242,7 @@ def make_elementary_abelian(p: int, r: int, label: str | None = None) -> Ordered
         code_table = (code_table[:, None, :, None] * p + digit[None, :, None, :]).reshape(m, m)
     np.take(index_of_code, code_table, out=code_table)  # codes to element indices
     table = code_table[np.ix_(codes, codes)]
+    inverses = index_of_code[-coords % p @ radix]
     names = []
     for t in tuples:
         if sum(t) == 0:
@@ -245,6 +254,7 @@ def make_elementary_abelian(p: int, r: int, label: str | None = None) -> Ordered
         label=label or f"(Z{p})^{r}",
         element_names=names,
         ea_tuples=[tuple(int(c) for c in t) for t in tuples],
+        _inverses=inverses,
     )
 
 
@@ -255,7 +265,8 @@ def make_cyclic(n: int, label: str | None = None) -> OrderedGroup:
     check_entry_count(n * n, "multiplication table")
     idx = np.arange(n, dtype=np.int64)
     table = (idx[:, None] + idx[None, :]) % n
-    return OrderedGroup(table, label=label or f"Z{n}", element_names=[str(i) for i in range(n)])
+    names = [str(i) for i in range(n)]
+    return OrderedGroup(table, label=label or f"Z{n}", element_names=names, _inverses=-idx % n)
 
 
 def make_product(a: OrderedGroup, b: OrderedGroup, label: str | None = None) -> OrderedGroup:

@@ -7,7 +7,7 @@ makes the check fail and carries the offending instance in its detail.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -418,6 +418,15 @@ def check_cover_properties(seed: int = 20240811) -> CheckResult:
             return _fail(name, f"{item.name}: boundaries do not compose to zero")
         if fpexact.rank(cover.d1) != group.size - cover.b0:
             return _fail(name, f"{item.name}: rank of d1 does not match the component count")
+        # the same images in a target of one more rank: p copies of the
+        # cover, ranked by build_cover on one coset block of d2
+        padded = tuple(c + (0,) for c in item.images)
+        _, big, hom_l = corpus.build_item(replace(item, target=("ea", p, item.target[2] + 1), images=padded))
+        cover_l = build_cover(pres, hom_l, p)
+        if (cover_l.b0, cover_l.b1, cover_l.b2) != (p * cover.b0, p * cover.b1, p * cover.b2):
+            return _fail(name, f"{item.name}: a target of one more rank does not give {p} copies")
+        if fpexact.rank(cover_l.d2) != big.size * pres.n_relators - cover_l.b2:
+            return _fail(name, f"{item.name}: rank of the full d2 does not match b2")
         for seed in cover.seeds.reshape(-1, group.size):
             block = covers.equivariant_block(group, seed)
             g, h = (int(x) for x in rng.integers(0, group.size, size=2))
@@ -466,6 +475,8 @@ def check_cover_properties(seed: int = 20240811) -> CheckResult:
     kernel = reidemeister_schreier(free2, hom)
     if hom.surjective or cover.b0 != 2 or fpexact.rank(cover.d1) != g22.size - cover.b0:
         return _fail(name, "non-surjective map should give two components")
+    if fpexact.rank(cover.d2) != g22.size * free2.n_relators - cover.b2:
+        return _fail(name, "rank of the full d2 does not match b2")
     if cover.b1 != cover.b0 * complex_summary(kernel, 2).b1:
         return _fail(name, "component count does not reconcile cover and kernel b1")
     return _ok(name, "composition, equivariance, order-independence and grading hold")

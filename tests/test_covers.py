@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import numpy as np
@@ -289,10 +290,11 @@ def symmetric_group_3():
     return OrderedGroup([[index[tuple(a[b[k]] for k in range(3))] for b in perms] for a in perms])
 
 
-def random_case(rng, group=None):
+def random_case(rng, group=None, images=None):
     """A random presentation (<= 4 generators, <= 3 relators) with a
-    compatible map onto ``group``, or else onto an abelian, cyclic,
-    product or nonabelian group drawn at random."""
+    compatible map to ``group`` sending the generators to ``images``, or
+    else onto an abelian, cyclic, product or nonabelian group and images
+    drawn at random."""
     p = int(rng.choice([2, 3, 5]))
     if group is None:
         group = [
@@ -302,8 +304,9 @@ def random_case(rng, group=None):
             make_product(make_cyclic(2), make_cyclic(3)),
             symmetric_group_3(),
         ][int(rng.integers(0, 5))]
-    n = int(rng.integers(1, 5))
-    images = [int(x) for x in rng.integers(0, group.size, size=n)]
+    if images is None:
+        images = [int(x) for x in rng.integers(0, group.size, size=int(rng.integers(1, 5)))]
+    n = len(images)
     letters = [(j, 1) for j in range(n)] + [(j, -1) for j in range(n)]
     # shortest word for each element of the image subgroup, by breadth-first search
     word_for = {group.identity_index: ()}
@@ -377,6 +380,59 @@ class TestSeedAssembly:
         cover = build_cover(pres, Homomorphism(pres, group, [1, 1]), 2)
         assert len(calls) == 1
         assert cover.hom.image_order == 2 and not cover.hom.surjective and cover.b0 == 2
+
+    def test_ranks_one_coset_block(self, monkeypatch):
+        # the image K has index 2: d2 is two copies of its K x K block
+        shapes = []
+        rank = fpexact.rank
+        monkeypatch.setattr(fpexact, "rank", lambda m: shapes.append((m.rows, m.cols)) or rank(m))
+        pres = parse_presentation(TORUS)
+        cover = build_cover(pres, Homomorphism(pres, make_elementary_abelian(2, 2), [1, 1]), 2)
+        assert shapes == [(2, 4), (2, 1)]
+        assert (cover.b0, cover.b1, cover.b2) == (2, 4, 2)
+
+    def test_rank_of_full_d2_on_disconnected_covers(self):
+        # build_cover ranks one coset block of d2; the full d2 is the oracle.
+        # Every corpus item is onto, so each is also taken into a target one
+        # step larger, where its cover is [H : K] copies of the item's.
+        cases = []
+        for item in corpus.CORPUS:
+            if item.target[0] == "ea":
+                target, images = ("ea", item.p, item.target[2] + 1), tuple(c + (0,) for c in item.images)
+            else:
+                target, images = ("cyclic", 2 * item.target[1]), tuple(2 * v for v in item.images)
+            pres, _, hom = corpus.build_item(item)
+            cover = build_cover(pres, hom, item.p)
+            _, big, lifted = corpus.build_item(dataclasses.replace(item, target=target, images=images))
+            cases.append((pres, lifted, item.p, big.size // hom.group.size, cover))
+        free2 = parse_presentation("< a, b | >")
+        g22 = make_elementary_abelian(2, 2)
+        cases.append((free2, Homomorphism(free2, g22, [g22.ea_index[(1, 0)]] * 2), 2, None, None))
+        rng = np.random.default_rng(20261020)
+        for _ in range(30):
+            # elementary abelian targets, images in a subspace of lower rank
+            p, r = int(rng.choice([2, 3])), int(rng.integers(2, 4))
+            group = make_elementary_abelian(p, r)
+            basis = rng.integers(0, p, size=(int(rng.integers(0, r)), r))
+            coords = rng.integers(0, p, size=(int(rng.integers(1, 5)), len(basis))) @ basis % p
+            images = [group.ea_index[tuple(int(c) for c in x)] for x in coords]
+            cases.append((*random_case(rng, group, images), None, None))
+        for _ in range(30):
+            # cyclic targets, images in a proper subgroup
+            order, step = [(4, 2), (6, 2), (6, 3), (8, 2), (8, 4), (9, 3)][int(rng.integers(0, 6))]
+            images = [int(x) * step % order for x in rng.integers(0, order, size=int(rng.integers(1, 5)))]
+            cases.append((*random_case(rng, make_cyclic(order), images), None, None))
+        sizes = set()
+        for pres, hom, p, index, base in cases:
+            cover = build_cover(pres, hom, p)
+            H, m = hom.group.size, pres.n_relators
+            assert not hom.surjective, (pres, hom)
+            assert fpexact.rank(cover.d2) == H * m - cover.b2, (pres, hom, p)
+            assert fpexact.rank(cover.d1) == H - cover.b0, (pres, hom, p)
+            if base is not None:
+                assert (cover.b0, cover.b1, cover.b2) == (index * base.b0, index * base.b1, index * base.b2)
+            sizes.add((hom.image_order, m > 0))
+        assert (1, True) in sizes and len(sizes) > 6
 
     def test_long_commutator_cover_is_linear(self):
         # Fox prefixes share the relator's letters, so an 8,000-letter

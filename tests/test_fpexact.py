@@ -191,7 +191,25 @@ def test_panel_product_is_exact():
     assert fpexact.PANEL * (MAX_PRIME - 1) ** 2 < 2**53
 
 
-@pytest.mark.parametrize("panel", [1, 3, 8])
+def check_echelon_modes(data, p):
+    """Both modes of ``_echelon`` on ``data`` against ``reference_rref``:
+    rref mode gives the reduced form itself; rank mode gives the same
+    pivots and residue rows in echelon form whose reduced form is it."""
+    expected_rows, expected_pivots = reference_rref(data.tolist(), p)
+    reduced, pivots = rref(FpMatrix(*data.shape, data.ravel(), p))
+    assert pivots == expected_pivots
+    assert reduced.to_rows() == expected_rows
+    a = data.copy()
+    assert fpexact._echelon(a, p) == list(expected_pivots)
+    k = len(expected_pivots)
+    assert ((0 <= a) & (a < p)).all() and not a[k:].any()
+    for r, c in enumerate(expected_pivots):
+        assert a[r, c] == 1 and not a[r, :c].any()
+    assert reference_rref(a.tolist(), p)[0] == expected_rows
+    assert rank(FpMatrix(*data.shape, data.ravel(), p)) == k
+
+
+@pytest.mark.parametrize("panel", [1, 3, 8, 64])
 @pytest.mark.parametrize("defer_entries", [0, 10**9])
 def test_panels_against_reference(monkeypatch, panel, defer_entries):
     # random_matrix fits in one default panel: narrow panels take it across
@@ -204,19 +222,35 @@ def test_panels_against_reference(monkeypatch, panel, defer_entries):
             data = random_matrix(rng, p, max_side=48)
             if k % 2:
                 data[rng.random(data.shape) >= 0.05] = 0
-            m = FpMatrix(*data.shape, data.ravel(), p)
-            expected_rows, expected_pivots = reference_rref(data.tolist(), p)
-            reduced, pivots = rref(m)
-            assert pivots == expected_pivots
-            assert reduced.to_rows() == expected_rows
-            assert fpexact._echelon(data.copy(), p) == list(expected_pivots)
-            assert rank(m) == len(expected_pivots)
+            check_echelon_modes(data, p)
+    # tall and dense at the largest prime: each entry takes an unreduced
+    # update of up to (p-1)^2 from every pivot above it
+    for rows, cols in ((120, 40), (200, 70)):
+        check_echelon_modes(rng.integers(0, MAX_PRIME, size=(rows, cols)), MAX_PRIME)
+
+
+@pytest.mark.parametrize("panel", [3, 64])
+def test_forced_trailing_reduction(monkeypatch, panel):
+    # a growth limit below one update makes the kernel reduce the trailing
+    # block after every panel, as it must where entries could near 2^63
+    monkeypatch.setattr(fpexact, "PANEL", panel)
+    monkeypatch.setattr(fpexact, "_LAZY_LIMIT", 1)
+    rng = np.random.default_rng(41 + panel)
+    for p in (2, 7, MAX_PRIME):
+        for k in range(6):
+            data = random_matrix(rng, p, max_side=48)
+            if k % 2:
+                data[rng.random(data.shape) >= 0.05] = 0
+            check_echelon_modes(data, p)
+        check_echelon_modes(rng.integers(0, p, size=(40, 100)), p)
+        low_rank = rng.integers(0, p, size=(90, 30)) @ rng.integers(0, p, size=(30, 80))
+        check_echelon_modes(low_rank % p, p)
 
 
 def test_dense_matrix_across_default_panels(monkeypatch):
     products = []
-    mul_mod = fpexact._mul_mod
-    monkeypatch.setattr(fpexact, "_mul_mod", lambda a, b, p: products.append(a.shape) or mul_mod(a, b, p))
+    panel_product = fpexact._panel_product
+    monkeypatch.setattr(fpexact, "_panel_product", lambda a, b: products.append(a.shape) or panel_product(a, b))
     data = np.random.default_rng(37).integers(0, 7, size=(100, 150))
     m = FpMatrix(100, 150, data.ravel(), 7)
     expected_rows, expected_pivots = reference_rref(data.tolist(), 7)

@@ -64,6 +64,27 @@ class TestConstructors:
             expected = [[index[tuple(int(c) for c in t)] for t in row] for row in sums]
             assert g.mult.tolist() == expected, (p, r)
 
+    def test_built_tables_are_groups(self):
+        # make_elementary_abelian and make_cyclic skip validation: check
+        # here that their tables pass it, add coordinates and residues, and
+        # carry the identity and inverses the validating constructor finds
+        pairs = ((2, 1), (2, 4), (2, 7), (3, 3), (5, 2), (7, 2))
+        built = [(make_elementary_abelian(p, r), None) for p, r in pairs]
+        built += [(make_cyclic(n), n) for n in (1, 2, 5, 12, 31)]
+        for g, n in built:
+            g._validate()
+            if n is None:
+                coords = np.array(g.ea_tuples)
+                p = g.is_elementary_abelian()[0]
+                sums = (coords[:, None, :] + coords[None, :, :]) % p
+                assert g.mult.tolist() == [[g.ea_index[tuple(int(c) for c in t)] for t in row] for row in sums]
+            else:
+                assert g.mult.tolist() == [[(x + y) % n for y in range(n)] for x in range(n)]
+            checked = OrderedGroup(g.mult)
+            assert g.identity_index == checked.identity_index == 0, g.label
+            assert np.array_equal(g.inverse_table, checked.inverse_table), g.label
+            assert not g.mult.flags.writeable
+
     def test_cyclic_trivial(self):
         g = make_cyclic(1)
         assert g.size == 1
