@@ -377,6 +377,9 @@ def main(argv: list[str] | None = None) -> int:
     except (_InputError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except MemoryError as exc:  # numpy's message names the allocation it could not make
+        sys.stderr.write(f"error: out of memory: {exc}\n" if str(exc) else "error: out of memory\n")
+        return 1
 
 
 if __name__ == "__main__":

@@ -8,12 +8,13 @@ over the group ring F_p[H]; ``equivariant_block`` expands a (rows, cols,
 row (i, g) is delta_g times entry (i, j) in column block j.  d2 expands
 the (relator, generator, element) array of images of Fox derivatives, d1
 the column delta_{phi(a_j)} - delta_e.  The homomorphism records the
-elements of its image K, and b0 = [H : K].  Prefix images lie in K, so d2
-is block-diagonal over the cosets gK with every block equal to the K x K
-one: d2 is the only matrix eliminated, and only that block of it, with
-rank(d2) = [H : K] rank(block).  d2 and d1 are still built in full; d1
-carries the d2 @ d1 = 0 certificate, and both are oracles, rank(d1) =
-|H| - b0 and rank(d2) = |H| m - b2.
+elements of its image K, and b0 = [H : K].  Prefix images and the
+phi(a_j) lie in K, so d2 and d1 are block-diagonal over the cosets gK,
+every block a copy of the one over K: ``build_cover`` expands only that
+block of each, certifies d2 @ d1 = 0 on it, and eliminates the block of
+d2, with rank(d2) = [H : K] rank(block).  A cover keeps the seed arrays;
+its full d2 and d1 are expanded on first read, for the oracles
+rank(d1) = |H| - b0 and rank(d2) = |H| m - b2.
 
 Homomorphism text format, one line per generator::
 
@@ -23,6 +24,7 @@ Homomorphism text format, one line per generator::
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -169,27 +171,27 @@ def parse_homomorphism(text: str, pres: Presentation, group: OrderedGroup) -> Ho
     return Homomorphism(pres, group, [assignments[n] for n in pres.generator_names])
 
 
-def equivariant_block(group: OrderedGroup, seed: np.ndarray) -> np.ndarray:
-    """Expansion of a matrix over the group ring: for seeds of shape
-    (rows, cols, |H|), the |H|rows x |H|cols matrix whose entry
-    ((i, g), (j, gh)) is seed[i, j, h].  A 1-D seed is one |H| x |H|
-    block, whose row g is delta_g * seed."""
+def equivariant_block(mult: np.ndarray, seed: np.ndarray) -> np.ndarray:
+    """Expansion of a matrix over the group ring of the group with table
+    ``mult``: for seeds of shape (rows, cols, n), the n*rows x n*cols
+    matrix whose entry ((i, g), (j, gh)) is seed[i, j, h].  A 1-D seed is
+    one n x n block, whose row g is delta_g * seed."""
     rows, cols = seed.shape[:-1] or (1, 1)
-    n = group.size
+    n = len(mult)
     out = np.zeros((rows, n, cols, n), dtype=np.int64)
-    out[:, np.arange(n)[:, None], :, group.mult] = seed.reshape(rows, cols, n).transpose(2, 0, 1)
+    out[:, np.arange(n)[:, None], :, mult] = seed.reshape(rows, cols, n).transpose(2, 0, 1)
     return out.reshape(rows * n, cols * n)
 
 
 @dataclass(frozen=True)
 class CoverComplex:
-    """The three-term mod-p chain complex of a finite regular cover."""
+    """The three-term mod-p chain complex of a finite regular cover, held as
+    the seed arrays of its boundary maps; d2 and d1 are expanded on first read."""
 
     hom: Homomorphism
     p: int
     seeds: np.ndarray = field(compare=False)  # [relator, generator, element], mod p
-    d2: FpMatrix  # |H|m x |H|n
-    d1: FpMatrix  # |H|n x |H|
+    edges: np.ndarray = field(compare=False)  # [generator, 0, element], mod p
     b0: int
     b1: int
     b2: int
@@ -200,6 +202,14 @@ class CoverComplex:
     @property
     def group(self) -> OrderedGroup:
         return self.hom.group
+
+    @functools.cached_property
+    def d2(self) -> FpMatrix:  # |H|m x |H|n
+        return FpMatrix._wrap(equivariant_block(self.group.mult, self.seeds), self.p)
+
+    @functools.cached_property
+    def d1(self) -> FpMatrix:  # |H|n x |H|
+        return FpMatrix._wrap(equivariant_block(self.group.mult, self.edges), self.p)
 
 
 def build_cover(pres: Presentation, hom: Homomorphism, p: int) -> CoverComplex:
@@ -225,27 +235,27 @@ def build_cover(pres: Presentation, hom: Homomorphism, p: int) -> CoverComplex:
                 np.add.at(seeds[i, j], images[ends], [sign for sign, _ in terms])
     seeds %= p
     seeds.setflags(write=False)
-    d2 = FpMatrix._wrap(equivariant_block(group, seeds), p)
     # d1 is the column (phi(a_j) - 1): zero where a_j maps to the identity
     edges = np.zeros((n, 1, H), dtype=np.int64)
     edges[np.arange(n), 0, hom.images] += 1
     edges[:, 0, group.identity_index] -= 1
-    d1 = FpMatrix._wrap(equivariant_block(group, edges % p), p)
-
+    edges %= p
+    edges.setflags(write=False)
+    # Prefix images and the phi(a_j) lie in the image K, so d2 and d1 only join
+    # (i, g) to (j, g k) with k in K: each is block-diagonal over the cosets gK,
+    # every block a copy of the one over K.  The components are those cosets.
+    K = np.array(hom.image)
+    table = np.searchsorted(K, np.arange(H))[group.mult[K[:, None], K]]  # K's table, in K's indices
+    seeds_k = seeds[:, :, K]
+    d2_k = FpMatrix._wrap(equivariant_block(table, seeds_k), p)
+    d1_k = FpMatrix._wrap(equivariant_block(table, edges[:, :, K]), p)
     # Row (i, g) of d2 @ d1 is delta_g times row (i, e), and row (i, e) of
     # d2 is the seed row: checking the seed rows certifies d2 @ d1 = 0.
-    if not (FpMatrix._wrap(seeds.reshape(m, n * H), p) @ d1).is_zero():
+    if not (FpMatrix._wrap(seeds_k.reshape(m, n * len(K)), p) @ d1_k).is_zero():
         raise RuntimeError("boundary maps do not compose to zero")
 
-    # Prefix images lie in the image K, so d2 only joins (i, g) to (j, g k)
-    # with k in K: it is block-diagonal over the cosets gK, each block a
-    # copy of the K x K one.  The components are those cosets: b0 = [H : K].
     b0 = H // hom.image_order
-    block = d2
-    if b0 > 1:
-        cells = lambda count: (np.arange(count)[:, None] * H + hom.image).ravel()  # (i, k), k in K
-        block = FpMatrix._wrap(d2.array[np.ix_(cells(m), cells(n))], p)
-    r2 = b0 * fpexact.rank(block)
+    r2 = b0 * fpexact.rank(d2_k)
     r1 = H - b0
     b2 = H * m - r2
     b1 = H * n - r2 - r1
@@ -253,8 +263,7 @@ def build_cover(pres: Presentation, hom: Homomorphism, p: int) -> CoverComplex:
         hom=hom,
         p=p,
         seeds=seeds,
-        d2=d2,
-        d1=d1,
+        edges=edges,
         b0=b0,
         b1=b1,
         b2=b2,

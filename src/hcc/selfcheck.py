@@ -378,7 +378,7 @@ def check_groupring_properties(seed: int = 20240811) -> CheckResult:
                 groupring.augmentation(u) * groupring.augmentation(v)
             ) % p:
                 return _fail(name, f"{group.label}: augmentation is not multiplicative")
-            block = covers.equivariant_block(group, v.coeffs)
+            block = covers.equivariant_block(group.mult, v.coeffs)
             acted = GroupRingElement(group, p, (u.coeffs @ block) % p)
             if acted != ring_mul(u, v):
                 return _fail(name, f"{group.label}: equivariant action != convolution")
@@ -398,7 +398,7 @@ def check_groupring_properties(seed: int = 20240811) -> CheckResult:
             w_unbal = w_bal + GroupRingElement.delta(group, p, group.identity_index)
             if not profile.contains(k, ring_mul(x, w_unbal)):
                 return _fail(name, f"{group.label} k={k}: action left the power")
-            block = FpMatrix(n, n, covers.equivariant_block(group, w_bal.coeffs).ravel(), p)
+            block = FpMatrix(n, n, covers.equivariant_block(group.mult, w_bal.coeffs).ravel(), p)
             if fpexact.kernel_dim(block) < max(profile.lambdas):
                 return _fail(name, f"{group.label}: balanced kernel below the largest jump")
     return _ok(name, "action, ideal-power mapping and kernel bounds hold on 5 groups")
@@ -428,7 +428,7 @@ def check_cover_properties(seed: int = 20240811) -> CheckResult:
         if fpexact.rank(cover_l.d2) != big.size * pres.n_relators - cover_l.b2:
             return _fail(name, f"{item.name}: rank of the full d2 does not match b2")
         for seed in cover.seeds.reshape(-1, group.size):
-            block = covers.equivariant_block(group, seed)
+            block = covers.equivariant_block(group.mult, seed)
             g, h = (int(x) for x in rng.integers(0, group.size, size=2))
             lhs = GroupRingElement(group, p, block[group.op(g, h)])
             rhs = ring_mul(GroupRingElement.delta(group, p, g), GroupRingElement(group, p, block[h]))

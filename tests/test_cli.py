@@ -234,11 +234,11 @@ class TestIterate:
 
 class TestMatrixCapVariable:
     # HCC_MATRIX_CAP is read once per process, so each value gets its own
-    def run_hcc(self, cap, argv):
+    def run_hcc(self, cap, argv, **kwargs):
         src = os.path.dirname(os.path.dirname(hcc.__file__))
         env = {**os.environ, "HCC_MATRIX_CAP": cap, "PYTHONPATH": src}
         return subprocess.run([sys.executable, "-m", "hcc.cli", *argv], env=env,
-                              capture_output=True, text=True, timeout=120)
+                              capture_output=True, text=True, timeout=120, **kwargs)
 
     def test_invalid_values_are_input_errors(self):
         for cap in ("abc", "0", "-3"):
@@ -253,6 +253,21 @@ class TestMatrixCapVariable:
         res = self.run_hcc("31", argv)
         assert res.returncode == 1
         assert "needs 32 entries, above the cap of 31" in res.stderr
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs RLIMIT_AS to be enforced")
+    def test_failed_allocation_is_an_error_line(self, tmp_path):
+        # the raised cap admits stage 2's 19,684 x 19,683 exponent matrix
+        # (2.89 GiB), which the child's 2 GiB address space cannot hold
+        import resource
+
+        pres = tmp_path / "a3.pres"
+        pres.write_text("< a, b | a^3 >\n")
+        argv = ["iterate", "--pres", str(pres), "--p", "3", "--steps", "2"]
+        limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+        res = self.run_hcc("1000000000", argv, preexec_fn=limit)
+        assert res.returncode == 1 and res.stdout == ""
+        assert res.stderr.startswith("error: out of memory: Unable to allocate")
+        assert len(res.stderr.splitlines()) == 1 and "Traceback" not in res.stderr
 
     def test_presentation_letters_are_capped(self, tmp_path):
         pres = tmp_path / "long.pres"

@@ -1,10 +1,11 @@
 import dataclasses
+import json
 import time
 
 import numpy as np
 import pytest
 
-from hcc import corpus, covers, fpexact
+from hcc import cli, corpus, covers, fpexact
 from hcc.covers import (
     Homomorphism,
     IncompatibleHomomorphismError,
@@ -146,7 +147,7 @@ class TestEquivariance:
         group = cover.group
         rng = np.random.default_rng(8)
         for seed in cover.seeds[0]:
-            mat = equivariant_block(group, seed)
+            mat = equivariant_block(group.mult, seed)
 
             def row(g):
                 return ring_mul(GroupRingElement.delta(group, 2, g), GroupRingElement(group, 2, seed))
@@ -162,8 +163,8 @@ class TestEquivariance:
         rng = np.random.default_rng(16)
         for group in (symmetric_group_3(), make_elementary_abelian(3, 2)):
             seeds = rng.integers(0, 3, size=(2, 3, group.size))
-            blocks = [[equivariant_block(group, seeds[i, j]) for j in range(3)] for i in range(2)]
-            assert np.array_equal(equivariant_block(group, seeds), np.block(blocks))
+            blocks = [[equivariant_block(group.mult, seeds[i, j]) for j in range(3)] for i in range(2)]
+            assert np.array_equal(equivariant_block(group.mult, seeds), np.block(blocks))
 
     def test_action_is_convolution(self):
         rng = np.random.default_rng(15)
@@ -171,7 +172,7 @@ class TestEquivariance:
         for _ in range(5):
             v = GroupRingElement(group, 3, rng.integers(0, 3, size=9))
             w = GroupRingElement(group, 3, rng.integers(0, 3, size=9))
-            acted = GroupRingElement(group, 3, (v.coeffs @ equivariant_block(group, w.coeffs)) % 3)
+            acted = GroupRingElement(group, 3, (v.coeffs @ equivariant_block(group.mult, w.coeffs)) % 3)
             assert acted == ring_mul(v, w)
 
 
@@ -439,11 +440,15 @@ class TestSeedAssembly:
         # relator costs O(length); prefixes copied as slices cost O(length^2),
         # about 0.7 s here
         rng = np.random.default_rng(8204)
-        letters = []
-        while len(FreeWord(letters)) < 8000:
+        letters = []  # kept freely reduced, letter by letter
+        while len(letters) < 8000:
             u, v = ([(int(g), int(s)) for g, s in zip(rng.integers(0, 2, k), rng.choice([1, -1], k))]
                     for k in rng.integers(1, 7, size=2))
-            letters += u + v + [(g, -s) for g, s in reversed(u)] + [(g, -s) for g, s in reversed(v)]
+            for g, s in u + v + [(g, -s) for g, s in reversed(u)] + [(g, -s) for g, s in reversed(v)]:
+                if letters and letters[-1] == (g, -s):
+                    letters.pop()
+                else:
+                    letters.append((g, s))
         pres = Presentation(("a", "b"), (FreeWord(letters),))
         hom = Homomorphism(pres, make_elementary_abelian(2, 2), [1, 2])
         elapsed = []
@@ -459,6 +464,41 @@ class TestSeedAssembly:
         monkeypatch.setattr(covers, "fox_derivative", lambda w, j: fox(w, j)[1:] if j == 0 else fox(w, j))
         with pytest.raises(RuntimeError, match="boundary maps do not compose to zero"):
             torus_cover()
+        # not onto: the certificate runs on the block over the image
+        pres = parse_presentation(TORUS)
+        with pytest.raises(RuntimeError, match="boundary maps do not compose to zero"):
+            build_cover(pres, Homomorphism(pres, make_elementary_abelian(2, 2), [1, 1]), 2)
+
+    def test_expands_only_the_image_block(self, monkeypatch):
+        # the image K has order 2 in (Z2)^2: build_cover expands d2 and d1
+        # over K alone, and the full matrices are expanded when read
+        expanded = []
+        expand = covers.equivariant_block
+        monkeypatch.setattr(covers, "equivariant_block", lambda t, s: expanded.append((t, s)) or expand(t, s))
+        pres = parse_presentation(TORUS)
+        hom = Homomorphism(pres, make_elementary_abelian(2, 2), [1, 1])
+        cover = build_cover(pres, hom, 2)
+        shapes = [(table.shape, seed.shape) for table, seed in expanded]
+        assert shapes == [((2, 2), (1, 2, 2)), ((2, 2), (2, 1, 2))]  # d2's seeds, then d1's
+        assert (cover.d2.rows, cover.d2.cols, cover.d1.rows, cover.d1.cols) == (4, 8, 8, 4)
+        assert np.array_equal(cover.d2.array, reference_d2(pres, hom, 2))
+        assert np.array_equal(cover.d1.array, reference_d1(hom, 2))
+        assert len(expanded) == 4 and cover.d2 is cover.d2  # each expanded once
+
+    def test_caps_count_the_full_matrices(self, monkeypatch, tmp_path, capsys):
+        # with no relators the refusal is d1's: it needs 4 * 2 * 4 = 32
+        # entries, although build_cover would expand only its 8-entry block
+        (tmp_path / "free.pres").write_text("< a, b | >\n")
+        (tmp_path / "half.hom").write_text("a -> (1,0)\nb -> (1,0)\n")
+        argv = ["cover", "--pres", str(tmp_path / "free.pres"), "--hom", str(tmp_path / "half.hom"), "--p", "2"]
+        monkeypatch.setattr(fpexact, "_entry_cap", None)  # read HCC_MATRIX_CAP again
+        monkeypatch.setenv("HCC_MATRIX_CAP", "31")
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: degree-1 boundary matrix needs 32 entries, above the cap of 31")
+        fpexact.set_entry_cap(32)
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["b0"] == 2
 
 
 def table_text(group, rng):
