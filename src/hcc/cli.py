@@ -85,7 +85,7 @@ def _group_from_args(args, p: int) -> groupring.OrderedGroup:
 
 
 def _cmd_omega(args, out) -> int:
-    if args.suite:
+    if args.suite is not None:
         report = omega.check_inequality_suite(args.suite, (2, 3, 5, 7))
         violations = report.discipline_violations()
         rows = [

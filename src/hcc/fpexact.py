@@ -196,10 +196,6 @@ class FpMatrix:
     def entry(self, i: int, j: int) -> int:
         return int(self._a[i, j])
 
-    def __getitem__(self, ij) -> int:
-        i, j = ij
-        return int(self._a[i, j])
-
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(int(x) for x in self._a[:, j])
 

@@ -10,7 +10,9 @@ ideal I.  The dimension profile of its powers (with the jumps between
 consecutive powers) comes from one of two exact paths, chosen by the
 multiplication table alone:
 
-- When the p-elements P and the p'-elements Q of H are both closed under
+- The p-elements of H are P = {g : g^(p^a) = e}, with p^a the p-part of
+  |H|, and its p'-elements are Q = {g : g^(|H|/p^a) = e}, each read off
+  one ``OrderedGroup.power`` array.  When P and Q are both closed under
   the product and |P||Q| = |H|, then H = P x Q.  Lazard's recursion
   D_1 = P, D_k = [D_{k-1}, P] D_{ceil(k/p)}^p gives the dimension
   subgroups of P.  Jennings' theorem gives the jumps of F_p[P] as the
@@ -175,31 +177,35 @@ class OrderedGroup:
             k += 1
         return k
 
+    def power(self, k: int) -> np.ndarray:
+        """Index array of g^k for every element g, by square-and-multiply: O(log k) gathers."""
+        if k < 0:
+            raise ValueError("k must be non-negative")
+        result, idx = np.full(self.size, self.identity_index), np.arange(self.size)
+        for bit in format(k, "b"):  # from the leading bit down: g^(2j + b) = (g^j)^2 g^b
+            result = self.mult[result, result]
+            if bit == "1":
+                result = self.mult[result, idx]
+        return result
+
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.mult, self.mult.T))
 
     def is_elementary_abelian(self) -> tuple[int, int] | None:
         """Return ``(p, r)`` if the group is (Z_p)^r with r >= 1, else None.
 
-        Decided structurally (abelian, order p^r, exponent p), so it is
-        independent of the chosen element order.
+        Decided structurally (abelian, order p^r, and exponent p from
+        ``power(p)``), so it is independent of the chosen element order.
         """
         n = self.size
         if n == 1 or not self.is_abelian():
             return None
-        p = 2
-        while n % p:
-            p += 1
-        r = 0
-        m = n
-        while m % p == 0:
-            m //= p
+        p = next(d for d in range(2, n + 1) if n % d == 0)  # the least divisor, so a prime
+        r = 1
+        while p**r < n:
             r += 1
-        if m != 1 or not fpexact.is_prime(p):
+        if p**r != n or not (self.power(p) == self.identity_index).all():
             return None
-        for g in range(n):
-            if g != self.identity_index and self.element_order(g) != p:
-                return None
         return p, r
 
     @property
@@ -253,7 +259,7 @@ def make_elementary_abelian(p: int, r: int, label: str | None = None) -> Ordered
         table,
         label=label or f"(Z{p})^{r}",
         element_names=names,
-        ea_tuples=[tuple(int(c) for c in t) for t in tuples],
+        ea_tuples=tuples,
         _inverses=inverses,
     )
 
@@ -533,18 +539,10 @@ def _jennings_dims(p: int, group: OrderedGroup) -> list[int] | None:
     |Q| is prime to p, so I_Q = I_Q^2 and F_p[H] = F_p[P] (x) F_p[Q] add
     |P|(|Q| - 1) to each dim I_P^k with k >= 1."""
     mult, e, n = group.mult, group.identity_index, group.size
-    idx = np.arange(n)
-    order = np.zeros(n, dtype=np.int64)
-    power, k = idx, 1  # power[g] = g^k
-    while not order.all():
-        order[(power == e) & (order == 0)] = k
-        power, k = mult[power, idx], k + 1
-        if k == p:  # reached whenever p divides |H|, which is when g^p is read
-            pth = power
     p_part = 1
     while n % (p_part * p) == 0:
         p_part *= p
-    in_p, in_q = p_part % order == 0, order % p != 0
+    in_p, in_q, pth = group.power(p_part) == e, group.power(n // p_part) == e, group.power(p)
     ps, qs = np.flatnonzero(in_p), np.flatnonzero(in_q)
     if len(ps) * len(qs) != n or not (in_p[mult[np.ix_(ps, ps)]].all() and in_q[mult[np.ix_(qs, qs)]].all()):
         return None

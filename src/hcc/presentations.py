@@ -396,8 +396,8 @@ def normalize_presentation(pres: Presentation, p: int) -> Presentation:
     generators in every relator).  Both preserve the normal closure, so
     the group is unchanged, and generator and relator counts are kept.
     """
-    summary = complex_summary(pres, p)
-    snf = fpexact.smith_normal_form(summary.boundary)
+    boundary = exponent_sum_matrix(pres, p)
+    snf = fpexact.smith_normal_form(boundary)
     relators = list(pres.relators)
     for op in snf.right_ops:
         if op.kind == "S":
@@ -432,8 +432,8 @@ def normalize_presentation(pres: Presentation, p: int) -> Presentation:
                 check_entry_count(len(w) + q * occurrences, "presentation")
             relators = [w.map_letters(subst) for w in relators]
     result = Presentation(pres.generator_names, tuple(relators))
-    expected = fpexact.block_diagonal(snf.diagonal, summary.boundary.rows, summary.boundary.cols, p)
-    if complex_summary(result, p).boundary != expected:
+    expected = fpexact.block_diagonal(snf.diagonal, boundary.rows, boundary.cols, p)
+    if exponent_sum_matrix(result, p) != expected:
         raise RuntimeError("normalization replay does not match the recorded normal form")
     return result
 

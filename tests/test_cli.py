@@ -49,6 +49,12 @@ class TestOmega:
         assert code == 0
         assert "hrk_threshold" in out
 
+    @pytest.mark.parametrize("argv", [["--suite", "0"], ["--p", "3", "--r", "2", "--suite", "0"]])
+    def test_suite_zero_is_refused(self, capsys, argv):
+        # --suite 0 is a suite request with r_max 0, not an absent flag
+        code, out, err = run_cli(["omega", *argv], capsys)
+        assert (code, out, err) == (1, "", "error: r_max must be at least 1\n")
+
     def test_deterministic(self, capsys):
         _, out1, _ = run_cli(["omega", "--p", "5", "--r", "3"], capsys)
         _, out2, _ = run_cli(["omega", "--p", "5", "--r", "3"], capsys)

@@ -571,3 +571,67 @@ def test_cyclic_1024_is_uniserial_and_fast(capsys):
     assert payload["lambdas"] == [1] * 1024
     assert payload["nilpotent"] and payload["stabilization_k"] == 1024
     assert elapsed < 10.0, elapsed
+
+
+def as_tbl(group):
+    """``group`` written in the ``.tbl`` format, its identity moved to index 0, and parsed back."""
+    e = group.identity_index
+    order = [e] + [x for x in range(group.size) if x != e]
+    position = np.empty(group.size, dtype=np.int64)
+    position[order] = np.arange(group.size)
+    rows = position[group.mult[np.ix_(order, order)]]
+    return parse_group_table(f"order {group.size}\n" + "\n".join(" ".join(map(str, row)) for row in rows))
+
+
+def power_groups():
+    """Built, relabelled and ``.tbl`` groups, abelian and not."""
+    rng = np.random.default_rng(13)
+    s3, a4, d5, q8 = (PROFILE_GROUPS[name] for name in ("S3", "A4", "D5", "Q8"))
+    built = [make_cyclic(1), make_cyclic(12), make_elementary_abelian(3, 3), make_elementary_abelian(2, 5),
+             make_product(s3, make_cyclic(4)), make_product(q8, make_cyclic(3)), make_product(a4, make_cyclic(2))]
+    tables = [s3, a4, d5, q8, PROFILE_GROUPS["Heis3"], make_product(d5, s3)]
+    return built + [relabelled(g, rng) for g in built + tables] + [as_tbl(g) for g in tables]
+
+
+class TestPower:
+    def test_power_matches_repeated_products(self):
+        rng = np.random.default_rng(2039)
+        for group in power_groups():
+            e, n = group.identity_index, group.size
+            cycles = []  # g^0, g^1, ... up to the order of g, by repeated op
+            for g in range(n):
+                cycle = [e]
+                while len(cycle) == 1 or cycle[-1] != e:
+                    cycle.append(group.op(cycle[-1], g))
+                cycles.append(cycle[:-1])
+            ks = {0, 1, 2, 3, 5, n, n + 1, fpexact.MAX_PRIME, *rng.integers(0, 10**6, size=8).tolist()}
+            for k in sorted(ks):
+                got = group.power(k)
+                assert got.dtype == np.int64 and got.shape == (n,)
+                assert got.tolist() == [cycle[k % len(cycle)] for cycle in cycles], (group.label, k)
+
+    def test_negative_exponent_refused(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            make_cyclic(5).power(-1)
+
+    def test_elementary_abelian_by_exponent(self):
+        rng = np.random.default_rng(3)
+        for p, r in ((2, 1), (2, 4), (3, 3), (5, 2), (7, 2), (13, 1)):
+            g = make_elementary_abelian(p, r)
+            assert g.is_elementary_abelian() == relabelled(g, rng).is_elementary_abelian() == (p, r)
+        for n in range(1, 301):
+            prime = n > 1 and all(n % d for d in range(2, n))
+            assert make_cyclic(n).is_elementary_abelian() == ((n, 1) if prime else None), n
+        assert make_product(make_cyclic(2), make_cyclic(2)).is_elementary_abelian() == (2, 2)
+        assert make_product(make_cyclic(2), make_cyclic(4)).is_elementary_abelian() is None
+        for name in ("S3", "D5"):  # D_p: order 2p, not abelian
+            assert PROFILE_GROUPS[name].is_elementary_abelian() is None
+        heis = PROFILE_GROUPS["Heis3"]  # exponent 3 but not abelian
+        assert (heis.power(3) == heis.identity_index).all() and heis.is_elementary_abelian() is None
+        assert OrderedGroup([[0]]).is_elementary_abelian() is None
+
+    def test_large_prime_cyclic_is_decided_fast(self):
+        g = make_cyclic(2039)
+        start = time.perf_counter()
+        assert g.is_elementary_abelian() == (2039, 1)
+        assert time.perf_counter() - start < 0.2

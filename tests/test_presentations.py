@@ -13,6 +13,7 @@ from hcc.presentations import (
     Presentation,
     PresentationSyntaxError,
     complex_summary,
+    exponent_sum_matrix,
     fox_derivative,
     normalize_presentation,
     parse_presentation,
@@ -378,6 +379,16 @@ class TestNormalize:
     def test_free_group_unchanged(self):
         pres = parse_presentation("< a, b | >")
         assert normalize_presentation(pres, 2) == pres
+
+    def test_reads_only_the_exponent_sum_matrix(self, monkeypatch):
+        # the replay certificate compares boundary matrices; no rank is taken
+        ranked = []
+        rank = fpexact.rank
+        monkeypatch.setattr(fpexact, "rank", lambda m: ranked.append((m.rows, m.cols)) or rank(m))
+        pres = parse_presentation("< a, b | a b, b >")
+        norm = normalize_presentation(pres, 2)
+        assert ranked == []
+        assert exponent_sum_matrix(norm, 2).to_rows() == [[1, 0], [0, 1]]
 
     def test_counts_and_betti_preserved(self):
         rng = np.random.default_rng(12)
