@@ -179,23 +179,6 @@ class ThreeManifoldVerdict:
     q_profile: tuple[int, int, int, int] | None
     m_profile: tuple[int, int, int, int] | None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "b1_Q": self.b1_q,
-            "k": self.k_used,
-            "omega_mid": self.omega_mid,
-            "b1_lower_bound": self.b1_lower_bound,
-            "needed_for_hrk": self.needed_for_hrk,
-            "bound_meets_threshold": self.bound_meets_threshold,
-            "method_certified": self.method_certified,
-            "external_citation": self.external_citation,
-            "equality_possible": self.equality_possible,
-            "equality_case": self.equality_case,
-            "Q_profile": list(self.q_profile) if self.q_profile else None,
-            "M_profile": list(self.m_profile) if self.m_profile else None,
-        }
-
 
 _3MFD_EQUALITY_TABLE = {
     1: ("a", (1, 1, 1, 1), (1, 0, 0, 1)),
@@ -266,10 +249,6 @@ class GrowthStage:
     b1: int
     n_generators: int
     n_relators: int
-
-    @property
-    def deficiency(self) -> int:
-        return self.n_generators - self.n_relators
 
 
 @dataclass(frozen=True)

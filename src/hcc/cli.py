@@ -52,8 +52,7 @@ def _stringify_big(value: Any) -> Any:
 
 
 def _emit_json(payload: dict, out) -> None:
-    json.dump(_stringify_big(payload), out, indent=2)
-    out.write("\n")
+    out.write(json.dumps(_stringify_big(payload), indent=2) + "\n")
 
 
 def _emit_tsv(header: list[str], rows: list[list[Any]], out) -> None:

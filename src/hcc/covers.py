@@ -65,8 +65,8 @@ class Homomorphism:
     """Generator images defining a map from the presented group to a finite group.
 
     Compatibility (every relator maps to the identity) is enforced at
-    construction; ``image`` lists, in index order, the elements of the
-    subgroup the images generate.  ``letter_action[s][j]`` is the list
+    construction; ``image`` is the read-only index array, in index order,
+    of the subgroup the images generate.  ``letter_action[s][j]`` is the list
     ``group.mult[:, h]`` for h the image of a_j^s (s = +-1): entry x is x h,
     so every word walk steps one letter by one list lookup.
     """
@@ -92,7 +92,7 @@ class Homomorphism:
             img = self.word_image(rel)
             if img != group.identity_index:
                 raise IncompatibleHomomorphismError(i, img, group.element_names[img])
-        object.__setattr__(self, "image", tuple(sorted(group.closure(images))))
+        object.__setattr__(self, "image", group.closure(images))
 
     @property
     def image_order(self) -> int:
@@ -244,7 +244,7 @@ def build_cover(pres: Presentation, hom: Homomorphism, p: int) -> CoverComplex:
     # Prefix images and the phi(a_j) lie in the image K, so d2 and d1 only join
     # (i, g) to (j, g k) with k in K: each is block-diagonal over the cosets gK,
     # every block a copy of the one over K.  The components are those cosets.
-    K = np.array(hom.image)
+    K = hom.image
     table = np.searchsorted(K, np.arange(H))[group.mult[K[:, None], K]]  # K's table, in K's indices
     seeds_k = seeds[:, :, K]
     d2_k = FpMatrix._wrap(equivariant_block(table, seeds_k), p)

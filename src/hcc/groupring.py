@@ -4,6 +4,8 @@ An ordered group is a finite group whose elements are identified with the
 indices ``0..n-1`` of its multiplication table; the total order on the
 group is the index order.  Group-ring elements are length-``n``
 coefficient vectors over F_p indexed that way, multiplied by convolution.
+Subgroups (``closure``, ``generating_set``, the dimension subgroups below)
+all come from one greedy walk, ``OrderedGroup._walk``.
 
 The augmentation map sums coefficients; its kernel is the augmentation
 ideal I.  The dimension profile of its powers (with the jumps between
@@ -15,7 +17,8 @@ multiplication table alone:
   one ``OrderedGroup.power`` array.  When P and Q are both closed under
   the product and |P||Q| = |H|, then H = P x Q.  Lazard's recursion
   D_1 = P, D_k = [D_{k-1}, P] D_{ceil(k/p)}^p gives the dimension
-  subgroups of P.  Jennings' theorem gives the jumps of F_p[P] as the
+  subgroups of P, each the walk's mask over its commutators and p-th
+  powers.  Jennings' theorem gives the jumps of F_p[P] as the
   coefficients of prod_k (1 + t^k + ... + t^{k(p-1)})^{d_k}, with
   d_k = log_p |D_k / D_{k+1}|.  Then dim I_H^k = dim I_P^k + |P|(|Q| - 1)
   for k >= 1.
@@ -100,6 +103,7 @@ class OrderedGroup:
         )
         self._gens: tuple[int, ...] | None = None
         self._hash: str | None = None
+        self._ea: tuple[int, ...] | None = None
         if _inverses is None:
             self.identity_index = self._find_identity()
             self._validate()
@@ -140,34 +144,41 @@ class OrderedGroup:
     def inverse(self, a: int) -> int:
         return int(self.inverse_table[a])
 
-    def closure(self, seed: Iterable[int]) -> frozenset[int]:
-        """Subgroup generated by ``seed`` (as a set of element indices)."""
-        gens = sorted(set(seed))
-        seen = {self.identity_index}
-        frontier = [self.identity_index]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = int(self.mult[x, g])
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return frozenset(seen)
+    def _walk(self, seed: Iterable[int]) -> tuple[np.ndarray, list[int]]:
+        """Mask of the subgroup generated by ``seed``, and the seed elements
+        kept, each outside the subgroup generated by those kept before it.
+        A kept element's column x -> x g is read as one list: the members so
+        far, closed under the earlier columns, step by it alone and each new
+        member by every column, so a subgroup K costs O(|K| * kept) lookups."""
+        seen = bytearray(self.size)
+        seen[self.identity_index] = 1
+        members, kept, columns = [self.identity_index], [], []
+        for g in seed:
+            if seen[g]:
+                continue
+            kept.append(g)
+            columns.append(self.mult[:, g].tolist())
+            old, i = len(members), 0
+            while i < len(members):
+                x = members[i]
+                for column in columns[-1:] if i < old else columns:
+                    y = column[x]
+                    if not seen[y]:
+                        seen[y] = 1
+                        members.append(y)
+                i += 1
+        return np.frombuffer(seen, dtype=bool), kept
+
+    def closure(self, seed: Iterable[int]) -> np.ndarray:
+        """Subgroup generated by ``seed``, as a read-only sorted index array."""
+        members = np.flatnonzero(self._walk(seed)[0])
+        members.setflags(write=False)
+        return members
 
     def generating_set(self) -> tuple[int, ...]:
         """Greedy generating set: scan elements in order, keep the new ones."""
         if self._gens is None:
-            gens: list[int] = []
-            known = frozenset({self.identity_index})
-            for g in range(self.size):
-                if g not in known:
-                    gens.append(g)
-                    known = self.closure(gens)
-                    if len(known) == self.size:
-                        break
-            self._gens = tuple(gens)
+            self._gens = tuple(self._walk(range(self.size))[1])
         return self._gens
 
     def element_order(self, g: int) -> int:
@@ -195,18 +206,19 @@ class OrderedGroup:
         """Return ``(p, r)`` if the group is (Z_p)^r with r >= 1, else None.
 
         Decided structurally (abelian, order p^r, and exponent p from
-        ``power(p)``), so it is independent of the chosen element order.
+        ``power(p)``), so it is independent of the chosen element order,
+        and once per group.
         """
-        n = self.size
-        if n == 1 or not self.is_abelian():
-            return None
-        p = next(d for d in range(2, n + 1) if n % d == 0)  # the least divisor, so a prime
-        r = 1
-        while p**r < n:
-            r += 1
-        if p**r != n or not (self.power(p) == self.identity_index).all():
-            return None
-        return p, r
+        if self._ea is None:
+            n, self._ea = self.size, ()  # () records "not elementary abelian"
+            if n > 1 and self.is_abelian():
+                p = next(d for d in range(2, n + 1) if n % d == 0)  # the least divisor, so a prime
+                r = 1
+                while p**r < n:
+                    r += 1
+                if p**r == n and (self.power(p) == self.identity_index).all():
+                    self._ea = (p, r)
+        return self._ea or None
 
     @property
     def table_hash(self) -> str:
@@ -547,17 +559,6 @@ def _jennings_dims(p: int, group: OrderedGroup) -> list[int] | None:
     if len(ps) * len(qs) != n or not (in_p[mult[np.ix_(ps, ps)]].all() and in_q[mult[np.ix_(qs, qs)]].all()):
         return None
 
-    def generated(elements: np.ndarray) -> np.ndarray:
-        mask = np.zeros(n, dtype=bool)
-        mask[e] = True
-        mask[elements] = True
-        while True:
-            members = np.flatnonzero(mask)
-            mask = np.zeros(n, dtype=bool)
-            mask[mult[np.ix_(members, members)]] = True  # contains members, as e does
-            if mask.sum() == len(members):
-                return mask
-
     # [A, P] for A normal is generated by the [a, s] with s in a generating
     # set of H: [a, xs] = [a, s][a, x][[a, x], s], and Q commutes with P
     gens = np.array(group.generating_set(), dtype=np.int64)
@@ -570,7 +571,7 @@ def _jennings_dims(p: int, group: OrderedGroup) -> list[int] | None:
         if key not in step:
             a = np.flatnonzero(prev)[:, None]
             commutators = mult[mult[inv[a], inv[gens]], mult[a, gens]]
-            step[key] = generated(np.concatenate([commutators.ravel(), pth[lower]]))
+            step[key] = group._walk(commutators.ravel().tolist() + pth[lower].tolist())[0]
         series.append(step[key])
     lam = np.ones(1, dtype=np.int64)
     for k, (big, small) in enumerate(zip(series, series[1:]), start=1):

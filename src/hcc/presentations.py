@@ -123,7 +123,7 @@ class FreeWord:
         return FreeWord(self.letters + other.letters)
 
     def inverse(self) -> "FreeWord":
-        return FreeWord(tuple((g, -s) for g, s in reversed(self.letters)))
+        return FreeWord._wrap(tuple((g, -s) for g, s in reversed(self.letters)))
 
     def __pow__(self, n: int) -> "FreeWord":
         base = self if n >= 0 else self.inverse()
@@ -485,7 +485,10 @@ def reidemeister_schreier(pres: Presentation, hom) -> Presentation:
                 out.append((k, s))
             if s == 1:
                 c = up[c][j]
-        return FreeWord(out)
+        # already reduced: between two kept letters lie only tree letters, and a
+        # reduced closed path in a tree is empty, so two kept letters that cancel
+        # would be adjacent, and cancelling, in the reduced input word
+        return FreeWord._wrap(tuple(out))
 
     relators = tuple(rewrite(rel, c) for rel in pres.relators for c in range(len(elements)))
     return Presentation(tuple(names), relators)

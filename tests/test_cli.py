@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import hcc
-from hcc import cli, selfcheck
+from hcc import cli, groupring, selfcheck
 
 
 def run_cli(argv, capsys):
@@ -167,6 +167,18 @@ class TestCover:
         _, out1, _ = run_cli(args, capsys)
         _, out2, _ = run_cli(args, capsys)
         assert out1 == out2
+
+    def test_elementary_abelian_type_decided_once(self, torus_files, capsys, monkeypatch):
+        # the CLI and hc_verdict both ask for the type of the same group
+        calls = []
+        is_abelian = groupring.OrderedGroup.is_abelian
+        monkeypatch.setattr(groupring.OrderedGroup, "is_abelian", lambda g: calls.append(g) or is_abelian(g))
+        pres, hom = torus_files
+        for args in (["--r", "2"], []):
+            calls.clear()
+            code, out, _ = run_cli(["cover", "--pres", pres, "--hom", hom, "--p", "2", *args], capsys)
+            assert code == 0 and json.loads(out)["verdict"]["case"] == "c"
+            assert len(calls) == 1
 
 
 class TestBounds:

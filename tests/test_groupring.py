@@ -635,3 +635,72 @@ class TestPower:
         start = time.perf_counter()
         assert g.is_elementary_abelian() == (2039, 1)
         assert time.perf_counter() - start < 0.2
+
+
+def set_closure(group, seed):
+    """The subgroup generated by ``seed``, by a breadth-first search over a set."""
+    seen, frontier = {group.identity_index}, [group.identity_index]
+    while frontier:
+        frontier = [y for y in {group.op(x, g) for x in frontier for g in seed} if y not in seen]
+        seen.update(frontier)
+    return sorted(seen)
+
+
+def product_fixpoint(group, seed):
+    """The subgroup generated by ``seed``: add all member x member products until none is new."""
+    members = {group.identity_index, *seed}
+    while True:
+        grown = {group.op(x, y) for x in members for y in members}
+        if grown == members:
+            return members
+        members = grown
+
+
+class TestWalk:
+    def test_closure_matches_set_search(self):
+        rng = np.random.default_rng(14)
+        for group in power_groups():
+            n, e = group.size, group.identity_index
+            seeds = [[], [e], [e, e], list(range(n)), list(range(n))[::-1]]
+            for _ in range(6):
+                seed = rng.integers(0, n, size=int(rng.integers(1, 5))).tolist()
+                seeds += [seed, seed + seed + [e]]
+            for seed in seeds:
+                got = group.closure(seed)
+                assert got.tolist() == set_closure(group, seed), (group.label, seed)
+                with pytest.raises(ValueError):
+                    got[0] = 0
+
+    def test_generating_set_is_the_reclosing_rule(self):
+        for group in power_groups():
+            kept, known = [], {group.identity_index}
+            for g in range(group.size):
+                if len(known) == group.size:
+                    break
+                if g not in known:
+                    kept.append(g)
+                    known = set(set_closure(group, kept))
+            assert group.generating_set() == tuple(kept), group.label
+
+    def test_dimension_subgroup_seeds_match_the_product_fixpoint(self):
+        # the seeds of Lazard's recursion: commutators [a, s] and p-th powers
+        for name, group in PROFILE_GROUPS.items():
+            n, inv = group.size, group.inverse
+            commutators = [group.op(group.op(inv(a), inv(s)), group.op(a, s))
+                           for a in range(n) for s in group.generating_set()]
+            seeds = [commutators] + [group.power(p).tolist() for p in (2, 3, 5)]
+            for seed in seeds + [commutators + seed for seed in seeds[1:]]:
+                mask = group._walk(seed)[0]
+                assert set(np.flatnonzero(mask).tolist()) == product_fixpoint(group, seed), name
+
+    def test_homomorphism_image_is_a_sorted_read_only_array(self):
+        from hcc.covers import Homomorphism
+        from hcc.presentations import parse_presentation
+
+        pres = parse_presentation("< a, b | a b a^-1 b^-1 >")
+        group = relabelled(make_product(make_cyclic(4), make_cyclic(2)), np.random.default_rng(5))
+        for images in ([0, 0], [1, 1], [3, 6], [5, 2]):
+            image = Homomorphism(pres, group, images).image
+            assert image.tolist() == set_closure(group, images)
+            with pytest.raises(ValueError):
+                image[0] = 1

@@ -481,6 +481,15 @@ class TestReidemeisterSchreier:
         assert (6, False, True) in kinds  # S3
         assert any(not surjective for _, _, surjective in kinds)
 
+    def test_kernel_relators_are_already_reduced(self):
+        # the rewrite wraps its letters without reducing them again
+        cases = [corpus.build_item(item)[::2] for item in corpus.CORPUS]
+        rng = np.random.default_rng(1000)
+        cases += [random_case(rng)[:2] for _ in range(1000)]
+        for pres, hom in cases:
+            for w in reidemeister_schreier(pres, hom).relators:
+                assert w == FreeWord(w.letters) and w.inverse() == FreeWord(w.inverse().letters), (pres, hom)
+
     def test_free_rank_three_kernel(self):
         pres = parse_presentation("< a, b | >")
         hom = Homomorphism(pres, make_elementary_abelian(2, 1), [1, 0])
