@@ -52,7 +52,8 @@ def _stringify_big(value: Any) -> Any:
 
 
 def _emit_json(payload: dict, out) -> None:
-    out.write(json.dumps(_stringify_big(payload), indent=2) + "\n")
+    out.writelines(json.JSONEncoder(indent=2).iterencode(_stringify_big(payload)))  # no joined copy
+    out.write("\n")
 
 
 def _emit_tsv(header: list[str], rows: list[list[Any]], out) -> None:

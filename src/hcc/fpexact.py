@@ -416,7 +416,9 @@ def smith_normal_form(m: FpMatrix) -> SnfResult:
     The pivot at each step is the first nonzero entry of the active
     submatrix in column-major scan order (columns left to right, each
     searched top to bottom), which makes the recorded operation sequence
-    deterministic.
+    deterministic.  The rows below each pivot are cleared in one step; the
+    column operations that clear its row are only recorded, since each
+    changes one entry, to zero.
     """
     p = m.p
     a = m.array.copy()
@@ -443,18 +445,14 @@ def smith_normal_form(m: FpMatrix) -> SnfResult:
             right.append(op)
             _apply_col(op, a, p)
         inv = inv_mod(int(a[k, k]), p)
-        for i in range(k + 1, n_rows):
-            if a[i, k]:
-                q = (-int(a[i, k]) * inv) % p
-                op = ElementaryOp("T", k, i, q)
-                left.append(op)
-                _apply_row(op, a, p)
-        for c in range(k + 1, n_cols):
-            if a[k, c]:
-                q = (-int(a[k, c]) * inv) % p
-                op = ElementaryOp("T", c, k, q)
-                right.append(op)
-                _apply_col(op, a, p)
+        rows = k + 1 + np.nonzero(a[k + 1 :, k])[0]
+        qs = -a[rows, k] * inv % p
+        a[rows] = (a[rows] + qs[:, None] * a[k]) % p
+        left.extend(ElementaryOp("T", k, i, q) for i, q in zip(rows.tolist(), qs.tolist()))
+        # column k now holds only the pivot, so T(c, k, q) changes only entry (k, c), to 0
+        row = a[k, k + 1 :].tolist()
+        right.extend(ElementaryOp("T", c, k, -v * inv % p) for c, v in enumerate(row, k + 1) if v)
+        a[k, k + 1 :] = 0
         k += 1
     diagonal = tuple(int(a[i, i]) for i in range(k))
     return SnfResult(diagonal=diagonal, left_ops=tuple(left), right_ops=tuple(right), rank=k)

@@ -33,6 +33,7 @@ They are built on the first ``FiltrationProfile.contains`` call for a
 from __future__ import annotations
 
 import hashlib
+import weakref
 from dataclasses import dataclass, replace
 from itertools import product as _iterproduct
 from typing import Iterable, Sequence
@@ -200,7 +201,8 @@ class OrderedGroup:
         return result
 
     def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.mult, self.mult.T))
+        """Whether every generator commutes with every element: O(|H| * gens) reads."""
+        return all(np.array_equal(self.mult[s], self.mult[:, s]) for s in self.generating_set())
 
     def is_elementary_abelian(self) -> tuple[int, int] | None:
         """Return ``(p, r)`` if the group is (Z_p)^r with r >= 1, else None.
@@ -503,7 +505,7 @@ class FiltrationProfile:
         return not vec.any()
 
 
-_PROFILE_CACHE: dict[tuple[int, str], FiltrationProfile] = {}
+_PROFILE_CACHE: dict[tuple[int, str], tuple[tuple[int, ...], weakref.ref]] = {}  # dims, last profile
 _BASES_CACHE: dict[tuple[int, str], tuple[tuple[np.ndarray, tuple[int, ...]], ...]] = {}
 
 
@@ -600,7 +602,10 @@ def _profile(p: int, group: OrderedGroup, dims: Sequence[int]) -> FiltrationProf
 
 
 def filtration_profile(p: int, group: OrderedGroup, k_max: int | None = None) -> FiltrationProfile:
-    """Filtration profile of F_p[group], cached per (p, multiplication table).
+    """Filtration profile of F_p[group], its dimensions cached per (p,
+    multiplication table).  The profile carries the caller's group, and the
+    cache holds it only weakly: no group outlives its callers, and a caller
+    still holding a profile gets that same object back.
 
     The dimensions come from the Jennings series when the group is the
     direct product of its p-elements and its p'-elements, and from
@@ -613,12 +618,13 @@ def filtration_profile(p: int, group: OrderedGroup, k_max: int | None = None) ->
     if k_max is not None and k_max < 1:
         raise ValueError("k_max must be at least 1")
     key = (p, group.table_hash)
-    profile = _PROFILE_CACHE.get(key)
-    if profile is None:
-        dims = _jennings_dims(p, group)
+    dims, last = _PROFILE_CACHE.get(key, (None, None))
+    profile = last() if last else None
+    if profile is None or profile.group is not group:
         if dims is None:
-            dims = [len(pivots) for _, pivots in _level_bases(p, group)]
-        profile = _PROFILE_CACHE[key] = _profile(p, group, dims)
+            dims = tuple(_jennings_dims(p, group) or (len(pivots) for _, pivots in _level_bases(p, group)))
+        profile = _profile(p, group, dims)
+        _PROFILE_CACHE[key] = (dims, weakref.ref(profile))
     if k_max is not None and k_max + 1 < len(profile.delta_dims):
         return replace(profile, delta_dims=profile.delta_dims[: k_max + 1], lambdas=profile.lambdas[:k_max])
     return profile

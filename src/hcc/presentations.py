@@ -29,7 +29,7 @@ import itertools
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -136,12 +136,9 @@ class FreeWord:
         """Largest generator index used, or -1 for the empty word."""
         return max(set(self.letters), default=(-1, 0))[0]
 
-    def map_letters(self, image: Callable[[int, int], Iterable[tuple[int, int]]]) -> "FreeWord":
-        """Substitute each letter by a word; the result is reduced."""
-        out: list[tuple[int, int]] = []
-        for g, s in self.letters:
-            out.extend(image(g, s))
-        return FreeWord(out)
+    def map_letters(self, image: Mapping[tuple[int, int], tuple[tuple[int, int], ...]]) -> "FreeWord":
+        """Substitute each letter by its image's letters: one join, then one reduction."""
+        return FreeWord(itertools.chain.from_iterable(map(image.__getitem__, self.letters)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FreeWord):
@@ -402,35 +399,25 @@ def normalize_presentation(pres: Presentation, p: int) -> Presentation:
     for op in snf.right_ops:
         if op.kind == "S":
             relators[op.i], relators[op.j] = relators[op.j], relators[op.i]
-        else:
-            check_entry_count(len(relators[op.i]) + abs(op.q) * len(relators[op.j]), "presentation")
-            relators[op.i] = relators[op.i] * relators[op.j] ** op.q
+        else:  # r_i -> r_i r_j^q with 0 < q < p: one join, one reduction
+            check_entry_count(len(relators[op.i]) + op.q * len(relators[op.j]), "presentation")
+            relators[op.i] = FreeWord(relators[op.i].letters + relators[op.j].letters * op.q)
+    image = {(g, s): ((g, s),) for g in range(pres.n_generators) for s in (1, -1)}
     for op in snf.left_ops:
-        if op.kind == "S":
-            i, j = op.i, op.j
-
-            def swap(g: int, s: int, i=i, j=j):
-                if g == i:
-                    return ((j, s),)
-                if g == j:
-                    return ((i, s),)
-                return ((g, s),)
-
-            relators = [w.map_letters(swap) for w in relators]
-        else:
-            i, j, q = op.i, op.j, op.q
-            positive = ((i, 1),) + ((j, 1),) * q
-            negative = tuple(reversed([(g, -s) for g, s in positive]))
-
-            def subst(g: int, s: int, i=i, positive=positive, negative=negative):
-                if g != i:
-                    return ((g, s),)
-                return positive if s == 1 else negative
-
+        i, j = op.i, op.j
+        if op.kind == "S":  # a permutation of letters: reduced words stay reduced
+            image[i, 1], image[i, -1], image[j, 1], image[j, -1] = ((j, 1),), ((j, -1),), ((i, 1),), ((i, -1),)
+            relators = [FreeWord._wrap(tuple(itertools.chain.from_iterable(map(image.__getitem__, w.letters))))
+                        for w in relators]
+        else:  # a_i -> a_i a_j^q
+            positive = ((i, 1),) + ((j, 1),) * op.q
+            image[i, 1], image[i, -1] = positive, tuple((g, -s) for g, s in reversed(positive))
             for w in relators:  # each a_i^+-1 becomes 1 + q letters
                 occurrences = w.letters.count((i, 1)) + w.letters.count((i, -1))
-                check_entry_count(len(w) + q * occurrences, "presentation")
-            relators = [w.map_letters(subst) for w in relators]
+                check_entry_count(len(w) + op.q * occurrences, "presentation")
+            relators = [w.map_letters(image) for w in relators]
+        for letter in ((i, 1), (i, -1), (j, 1), (j, -1)):  # back to the identity
+            image[letter] = (letter,)
     result = Presentation(pres.generator_names, tuple(relators))
     expected = fpexact.block_diagonal(snf.diagonal, boundary.rows, boundary.cols, p)
     if exponent_sum_matrix(result, p) != expected:

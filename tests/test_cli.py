@@ -223,6 +223,12 @@ class TestBounds:
         assert code == 1 and out == ""
         assert "surjective" in err
 
+    def test_target_is_the_callers_group(self, capsys):
+        # Z3 and (Z3)^1 share a table and so a cached profile; each names its own group
+        for args, label in ((["--r", "1"], "(Z3)^1"), (["--cyclic", "3"], "Z3")):
+            code, out, _ = run_cli(["bounds", "--b1", "2", "--d", "1", "--p", "3", *args], capsys)
+            assert code == 0 and json.loads(out)["target"] == label
+
     def test_inconsistent_input_is_input_error(self, capsys):
         code, _, err = run_cli(["bounds", "--b1", "0", "--d", "1", "--p", "2", "--r", "1"], capsys)
         assert code == 1 and "inconsistent" in err

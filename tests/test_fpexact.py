@@ -7,6 +7,7 @@ from hcc.fpexact import (
     CapExceededError,
     ElementaryOp,
     FpMatrix,
+    SnfResult,
     block_diagonal,
     kernel_dim,
     rank,
@@ -149,6 +150,56 @@ class TestSmithNormalForm:
                 expected = reference_rank(data.tolist(), p)
                 assert smith_normal_form(m).rank == expected
                 assert rank(m) == expected
+
+    def test_matches_op_by_op_reference(self):
+        # empty, zero and rank-deficient matrices among 1,200 seeded ones
+        rng = np.random.default_rng(20261019)
+        for t in range(1200):
+            p = (2, 3, 5, 7, 1009, MAX_PRIME)[t % 6]
+            rows, cols = (int(x) for x in rng.integers(0, 12, size=2))
+            data = rng.integers(0, p, size=(rows, cols)) * (rng.random((rows, cols)) < rng.random())
+            if rows > 2 and t % 3 == 0:  # the last rows combine the first two
+                data[2:] = rng.integers(0, p, size=(rows - 2, 2)) @ data[:2] % p
+            m = FpMatrix(rows, cols, data.ravel(), p)
+            snf = smith_normal_form(m)
+            assert snf == reference_snf(m), (p, data.tolist())
+            for op in snf.left_ops + snf.right_ops:
+                assert all(type(x) is int for x in (op.i, op.j, op.q))
+
+
+def reference_snf(m):
+    """The normal form found by applying every operation entry by entry,
+    with the pivot rule and operation order ``smith_normal_form`` keeps."""
+    p, a = m.p, m.to_rows()
+    n_rows, n_cols = m.rows, m.cols
+    left, right, k = [], [], 0
+    while k < min(n_rows, n_cols):
+        pivot = next(((i, c) for c in range(k, n_cols) for i in range(k, n_rows) if a[i][c]), None)
+        if pivot is None:
+            break
+        pi, pc = pivot
+        if pi != k:
+            left.append(ElementaryOp("S", k, pi))
+            a[k], a[pi] = a[pi], a[k]
+        if pc != k:
+            right.append(ElementaryOp("S", k, pc))
+            for row in a:
+                row[k], row[pc] = row[pc], row[k]
+        inv = pow(a[k][k], p - 2, p)
+        for i in range(k + 1, n_rows):
+            if a[i][k]:
+                q = -a[i][k] * inv % p
+                left.append(ElementaryOp("T", k, i, q))
+                a[i] = [(x + q * y) % p for x, y in zip(a[i], a[k])]
+        for c in range(k + 1, n_cols):
+            if a[k][c]:
+                q = -a[k][c] * inv % p
+                right.append(ElementaryOp("T", c, k, q))
+                for row in a:
+                    row[c] = (row[c] + q * row[k]) % p
+        k += 1
+    diagonal = tuple(a[i][i] for i in range(k))
+    return SnfResult(diagonal=diagonal, left_ops=tuple(left), right_ops=tuple(right), rank=k)
 
 
 def test_product_rank_bound():

@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import json
 import time
 import tracemalloc
+import weakref
 from itertools import permutations
 
 import numpy as np
@@ -316,6 +318,21 @@ class TestFiltration:
         g = make_cyclic(9)
         assert filtration_profile(3, g) is filtration_profile(3, g)
 
+    def test_profile_carries_the_callers_group(self):
+        # Z3 and (Z3)^1 have one table, so one cached set of dimensions
+        a, b = make_elementary_abelian(3, 1), make_cyclic(3)
+        assert a.table_hash == b.table_hash
+        assert filtration_profile(3, a).group is a and filtration_profile(3, b).group is b
+        assert filtration_profile(3, b, k_max=1).group is b
+
+    def test_cache_keeps_no_group_alive(self):
+        g = make_cyclic(25)
+        filtration_profile(5, g)
+        ref = weakref.ref(g)
+        del g
+        gc.collect()
+        assert ref() is None
+
     def test_order_permutation_leaves_dims(self):
         rng = np.random.default_rng(4)
         g = make_elementary_abelian(2, 3)
@@ -381,6 +398,15 @@ def test_profile_groups_are_the_named_tables():
         involutions = sum(1 for x in range(g.size) if x != g.identity_index and g.op(x, x) == g.identity_index)
         assert (g.size, involutions) == shape, name
         assert not g.is_abelian()
+
+
+def test_is_abelian_matches_the_transpose_check():
+    rng = np.random.default_rng(9)
+    groups = list(PROFILE_GROUPS.values()) + [make_cyclic(n) for n in (1, 2, 12)] + [make_elementary_abelian(2, 3)]
+    groups += [make_product(PROFILE_GROUPS["S3"], make_cyclic(3)), make_product(PROFILE_GROUPS["Q8"], make_cyclic(2)),
+               make_product(make_cyclic(2), make_cyclic(4)), make_product(PROFILE_GROUPS["Heis3"], make_cyclic(2))]
+    for g in groups + [relabelled(g, rng) for g in groups]:
+        assert g.is_abelian() == bool(np.array_equal(g.mult, g.mult.T)), g
 
 
 def reference_levels(group, p):

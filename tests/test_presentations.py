@@ -56,6 +56,21 @@ class TestFreeWord:
         assert w.exponent_sum(0) == 2
         assert w.exponent_sum(1) == 0
 
+    def test_map_letters_reads_a_table(self):
+        w = FreeWord([(0, 1), (1, 1), (0, -1)])
+        image = {(0, 1): ((0, 1), (1, 1)), (0, -1): ((1, -1), (0, -1)), (1, 1): ((1, -1),), (1, -1): ((1, 1),)}
+        # a b a^-1 -> (a b) b^-1 (b^-1 a^-1), reduced once
+        assert w.map_letters(image).letters == ((0, 1), (1, -1), (0, -1))
+
+    def test_generator_swap_keeps_words_reduced(self):
+        rng = np.random.default_rng(15)
+        swap = {(g, s): (({0: 1, 1: 0}.get(g, g), s),) for g in range(3) for s in (1, -1)}
+        for _ in range(200):
+            w = FreeWord([(int(rng.integers(0, 3)), int(rng.choice([1, -1]))) for _ in range(20)])
+            swapped = tuple(swap[letter][0] for letter in w.letters)
+            assert FreeWord(swapped).letters == swapped
+            assert w.map_letters(swap) == FreeWord(swapped)
+
 
 class TestParser:
     def test_commutator(self):
@@ -410,6 +425,62 @@ class TestNormalize:
                 snf = smith_normal_form(a.boundary)
                 assert b.boundary == block_diagonal(snf.diagonal, n, m, p)
 
+    def test_swapped_relators_are_reduced(self):
+        # the boundary [[0, 1], [2, 0]] at p = 3 needs a generator swap first
+        pres = parse_presentation("< a, b | b^2 a b a^-1 b^-1, a b^3 >")
+        snf = smith_normal_form(exponent_sum_matrix(pres, 3))
+        assert snf.left_ops[0] == fpexact.ElementaryOp("S", 0, 1)
+        norm = normalize_presentation(pres, 3)
+        assert all(FreeWord(w.letters).letters == w.letters for w in norm.relators)
+        assert norm == reference_normalize(pres, 3)
+
+    def test_matches_letter_by_letter_replay(self):
+        # the shapes of the benchmark's present --normalize queries
+        rng = np.random.default_rng(20261019)
+        shapes = [(2, [3000], 2), (3, [1500, 1000], 3), (2, [2000, 1200], 5), (3, [1000], 3)]
+        shapes += [(2, [400, 400], 2), (3, [400, 400], 3), (2, [500], 5), (3, [300, 300], 3)]
+        for n, lengths, p in shapes:
+            pres = commutators_with_tail(rng, n, lengths)
+            assert normalize_presentation(pres, p) == reference_normalize(pres, p), (n, lengths, p)
+
+
+def commutators_with_tail(rng, n, lengths):
+    """Relators of about the given lengths: a product of commutators of short
+    words, then a tail with nonzero exponent sums."""
+    relators = []
+    for length in lengths:
+        letters = []
+        while len(letters) < length:
+            u, v = (FreeWord([(int(rng.integers(0, n)), int(rng.choice([1, -1]))) for _ in range(3)]) for _ in "uv")
+            letters += (u * v * u.inverse() * v.inverse()).letters
+        tail = [(g, int(np.sign(e))) for g in range(n) for e in [int(rng.integers(-3, 4))] for _ in range(abs(e))]
+        relators.append(FreeWord(letters + tail))
+    return Presentation(tuple(f"g{i}" for i in range(n)), tuple(relators))
+
+
+def reference_normalize(pres, p):
+    """The normal-form replay one letter at a time, each generator
+    substitution a function called per letter, each relator product a
+    power and then a product."""
+    snf = smith_normal_form(exponent_sum_matrix(pres, p))
+    relators = list(pres.relators)
+    for op in snf.right_ops:
+        if op.kind == "S":
+            relators[op.i], relators[op.j] = relators[op.j], relators[op.i]
+        else:
+            relators[op.i] = relators[op.i] * relators[op.j] ** op.q
+    for op in snf.left_ops:
+        if op.kind == "S":
+            def image(g, s, i=op.i, j=op.j):
+                return (({i: j, j: i}.get(g, g), s),)
+        else:
+            def image(g, s, i=op.i, j=op.j, q=op.q):
+                if g != i:
+                    return ((g, s),)
+                return (FreeWord([(i, 1)] + [(j, 1)] * q) ** s).letters
+        relators = [FreeWord([x for g, s in w.letters for x in image(g, s)]) for w in relators]
+    return Presentation(pres.generator_names, tuple(relators))
+
 
 def reference_reidemeister_schreier(pres, hom):
     """Word-based Reidemeister-Schreier: explicit representative words and
@@ -459,9 +530,10 @@ def check_against_reference(pres, hom):
     assert kernel == expected, (pres, hom)
     # substituting the Schreier words back gives the conjugates rep rel rep^-1
     rewritten = iter(kernel.relators)
+    image = {(g, s): (word**s).letters for g, word in enumerate(schreier) for s in (1, -1)}
     for rel in pres.relators:
         for rep in reps:
-            word = next(rewritten).map_letters(lambda g, s: (schreier[g] ** s).letters)
+            word = next(rewritten).map_letters(image)
             assert word == rep * rel * rep.inverse()
 
 
