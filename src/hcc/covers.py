@@ -11,10 +11,12 @@ the column delta_{phi(a_j)} - delta_e.  The homomorphism records the
 elements of its image K, and b0 = [H : K].  Prefix images and the
 phi(a_j) lie in K, so d2 and d1 are block-diagonal over the cosets gK,
 every block a copy of the one over K: ``build_cover`` expands only that
-block of each, certifies d2 @ d1 = 0 on it, and eliminates the block of
-d2, with rank(d2) = [H : K] rank(block).  A cover keeps the seed arrays;
-its full d2 and d1 are expanded on first read, for the oracles
-rank(d1) = |H| - b0 and rank(d2) = |H| m - b2.
+block of each, in the order of ``Homomorphism.schreier_tree``, certifies
+d2 @ d1 = 0 on it, and takes rank(d2) = [H : K] times the rank of the
+block's columns off the tree, as the block's rows are 1-cycles; transposed,
+those columns are the exponent-sum matrix of the Reidemeister-Schreier
+kernel.  A cover keeps the seed arrays; its full d2 and d1 are expanded on
+first read, for the oracles rank(d1) = |H| - b0 and rank(d2) = |H| m - b2.
 
 Homomorphism text format, one line per generator::
 
@@ -119,6 +121,23 @@ class Homomorphism:
     def word_image(self, word: FreeWord) -> int:
         """Index of the image of a free word in the target group."""
         return self.prefix_images(word)[-1]
+
+    def schreier_tree(self) -> tuple[list[int], set[tuple[int, int]]]:
+        """Breadth-first spanning tree of the image's Cayley graph, edges
+        x -> x phi(a_j): the elements in the order the search reaches them
+        over letters (all positive letters in generator order, then the
+        inverses), and the tree edges as (x, j) pairs."""
+        letters = [(j, s == 1, column) for s in (1, -1) for j, column in enumerate(self.letter_action[s])]
+        elements = [self.group.identity_index]
+        seen, tree = set(elements), set()
+        for x in elements:  # grows while it is walked: breadth first
+            for j, positive, column in letters:
+                y = column[x]
+                if y not in seen:
+                    seen.add(y)
+                    elements.append(y)
+                    tree.add((x, j) if positive else (y, j))  # the edge a_j runs x -> y, or y -> x
+        return elements, tree
 
     def __repr__(self) -> str:
         pairs = ", ".join(
@@ -244,10 +263,17 @@ def build_cover(pres: Presentation, hom: Homomorphism, p: int) -> CoverComplex:
     # Prefix images and the phi(a_j) lie in the image K, so d2 and d1 only join
     # (i, g) to (j, g k) with k in K: each is block-diagonal over the cosets gK,
     # every block a copy of the one over K.  The components are those cosets.
-    K = hom.image
-    table = np.searchsorted(K, np.arange(H))[group.mult[K[:, None], K]]  # K's table, in K's indices
+    elements, tree = hom.schreier_tree()
+    K = np.array(elements)  # the image, in the tree's order
+    position = np.zeros(H, dtype=np.int64)
+    position[K] = np.arange(len(K))
+    table = position[group.mult[K[:, None], K]]  # K's table, in K's indices
     seeds_k = seeds[:, :, K]
-    d2_k = FpMatrix._wrap(equivariant_block(table, seeds_k), p)
+    # Each row of d2 is a 1-cycle, as d2 @ d1 = 0, and a cycle with no part off a
+    # spanning tree is zero, so the block's columns (j, x) off the tree have its
+    # rank; coset-major and transposed they are the kernel's exponent-sum matrix.
+    c, j = np.nonzero([[(x, j) not in tree for j in range(n)] for x in elements])
+    cotree = equivariant_block(table, seeds_k).T[j * len(K) + c]
     d1_k = FpMatrix._wrap(equivariant_block(table, edges[:, :, K]), p)
     # Row (i, g) of d2 @ d1 is delta_g times row (i, e), and row (i, e) of
     # d2 is the seed row: checking the seed rows certifies d2 @ d1 = 0.
@@ -255,7 +281,7 @@ def build_cover(pres: Presentation, hom: Homomorphism, p: int) -> CoverComplex:
         raise RuntimeError("boundary maps do not compose to zero")
 
     b0 = H // hom.image_order
-    r2 = b0 * fpexact.rank(d2_k)
+    r2 = b0 * fpexact.rank(FpMatrix._wrap(cotree, p))
     r1 = H - b0
     b2 = H * m - r2
     b1 = H * n - r2 - r1

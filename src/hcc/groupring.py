@@ -182,13 +182,6 @@ class OrderedGroup:
             self._gens = tuple(self._walk(range(self.size))[1])
         return self._gens
 
-    def element_order(self, g: int) -> int:
-        k, x = 1, g
-        while x != self.identity_index:
-            x = int(self.mult[x, g])
-            k += 1
-        return k
-
     def power(self, k: int) -> np.ndarray:
         """Index array of g^k for every element g, by square-and-multiply: O(log k) gathers."""
         if k < 0:

@@ -429,11 +429,10 @@ def reidemeister_schreier(pres: Presentation, hom) -> Presentation:
     """Presentation of the kernel of ``hom`` by Schreier rewriting.
 
     Cosets are the elements of the image of ``hom``, numbered in the
-    order a breadth-first search over letters (all positive letters in
-    generator order, then the inverses) reaches them; the search tree is
-    a Schreier transversal.  The Schreier generator of a (coset c,
-    generator j) pair is freely trivial exactly when its letter is a tree
-    edge, so the kernel generators are the pairs off the tree, named
+    order ``hom.schreier_tree()`` reaches them; its tree is a Schreier
+    transversal.  The Schreier generator of a (coset c, generator j) pair
+    is freely trivial exactly when its letter is a tree edge, so the
+    kernel generators are the pairs off the tree, named
     ``<generator>_<coset>``; each relator contributes one rewritten copy
     per coset (relator-major order).
     """
@@ -441,24 +440,15 @@ def reidemeister_schreier(pres: Presentation, hom) -> Presentation:
         raise ValueError("homomorphism was built from a different presentation")
     n = pres.n_generators
     act = hom.letter_action
-    elements = [hom.group.identity_index]
-    coset_of = {elements[0]: 0}
-    tree = set()  # (c, j): the letter a_j leaving coset c is a tree edge
-    for c, x in enumerate(elements):  # grows while it is walked: breadth first
-        for s in (1, -1):
-            for j in range(n):
-                target = act[s][j][x]
-                if target not in coset_of:
-                    coset_of[target] = len(elements)
-                    tree.add((c, j) if s == 1 else (len(elements), j))
-                    elements.append(target)
+    elements, tree = hom.schreier_tree()  # tree: (x, j), the letter a_j leaving x
+    coset_of = {x: c for c, x in enumerate(elements)}
     up = [[coset_of[act[1][j][x]] for j in range(n)] for x in elements]
     down = [[coset_of[act[-1][j][x]] for j in range(n)] for x in elements]
     gen_id: list[list[int | None]] = [[None] * n for _ in elements]
     names: list[str] = []
-    for c in range(len(elements)):
+    for c, x in enumerate(elements):
         for j in range(n):
-            if (c, j) not in tree:
+            if (x, j) not in tree:
                 gen_id[c][j] = len(names)
                 names.append(f"{pres.generator_names[j]}_{c}")
 

@@ -16,6 +16,7 @@ from hcc.covers import (
     parse_homomorphism,
 )
 from hcc.errors import FalsificationError
+from hcc.fpexact import FpMatrix
 from hcc.groupring import (
     GroupRingElement,
     OrderedGroup,
@@ -29,6 +30,7 @@ from hcc.presentations import (
     FreeWord,
     Presentation,
     complex_summary,
+    exponent_sum_matrix,
     fox_derivative,
     normalize_presentation,
     parse_presentation,
@@ -365,11 +367,14 @@ class TestSeedAssembly:
         assert any(disconnected for _, _, disconnected in kinds)
 
     def test_ranks_d2_and_the_base_only(self, monkeypatch):
+        # d2 is ranked as its transposed cotree block: |K|(n - 1) + 1 = 5
+        # Schreier generators by |K| m = 4 relator lifts
         shapes = []
         rank = fpexact.rank
         monkeypatch.setattr(fpexact, "rank", lambda m: shapes.append((m.rows, m.cols)) or rank(m))
         cover = torus_cover()
-        assert shapes == [(cover.d2.rows, cover.d2.cols), (2, 1)]
+        assert shapes == [(4 * (2 - 1) + 1, 4 * 1), (2, 1)]
+        assert (cover.b0, cover.b1, cover.b2) == (1, 2, 1)
 
     def test_one_closure_per_cover(self, monkeypatch):
         # the homomorphism records the order of its image; build_cover reads it
@@ -383,13 +388,14 @@ class TestSeedAssembly:
         assert cover.hom.image_order == 2 and not cover.hom.surjective and cover.b0 == 2
 
     def test_ranks_one_coset_block(self, monkeypatch):
-        # the image K has index 2: d2 is two copies of its K x K block
+        # the image K has index 2: d2 is two copies of its K x K block, which
+        # is ranked as its transposed cotree block, (|K|(n - 1) + 1) x |K| m
         shapes = []
         rank = fpexact.rank
         monkeypatch.setattr(fpexact, "rank", lambda m: shapes.append((m.rows, m.cols)) or rank(m))
         pres = parse_presentation(TORUS)
         cover = build_cover(pres, Homomorphism(pres, make_elementary_abelian(2, 2), [1, 1]), 2)
-        assert shapes == [(2, 4), (2, 1)]
+        assert shapes == [(2 * (2 - 1) + 1, 2 * 1), (2, 1)]
         assert (cover.b0, cover.b1, cover.b2) == (2, 4, 2)
 
     def test_rank_of_full_d2_on_disconnected_covers(self):
@@ -616,3 +622,88 @@ class TestVerdict:
         verdict = hc_verdict(build_cover(pres, hom, 2))
         assert verdict.passed and verdict.equality and not verdict.connected
         assert verdict.case is None and not verdict.unclassified
+
+
+def cotree_block(monkeypatch, pres, hom, p):
+    """The cover and the matrix ``build_cover`` ranks for d2: its first
+    ``fpexact.rank`` call, before the base complex's."""
+    blocks = []
+    rank = fpexact.rank
+    monkeypatch.setattr(fpexact, "rank", lambda m: blocks.append(m.array) or rank(m))
+    cover = build_cover(pres, hom, p)
+    monkeypatch.setattr(fpexact, "rank", rank)
+    return cover, blocks[0]
+
+
+def cotree_cases(rng):
+    """The corpus, random covers over shuffled S3, A4 and D5 tables, and
+    maps onto proper subgroups, some with a generator sent to the identity
+    or with one generator."""
+    cases = []
+    for item in corpus.CORPUS:
+        pres, _, hom = corpus.build_item(item)
+        cases.append((pres, hom, item.p))
+    for name in ("S3", "A4", "D5"):
+        for _ in range(10):
+            cases.append(random_case(rng, parse_group_table(table_text(PROFILE_GROUPS[name], rng))))
+    for _ in range(20):
+        order, step = [(4, 2), (6, 2), (6, 3), (8, 2), (9, 3), (12, 4)][int(rng.integers(0, 6))]
+        images = [int(x) * step % order for x in rng.integers(0, order, size=int(rng.integers(1, 4)))]
+        cases.append(random_case(rng, make_cyclic(order), images))
+    for _ in range(20):
+        group = make_elementary_abelian(int(rng.choice([2, 3])), 3)
+        images = [group.identity_index] + [int(x) for x in rng.integers(0, group.size, size=int(rng.integers(0, 3)))]
+        cases.append(random_case(rng, group, [int(x) for x in rng.permutation(images)]))
+    return cases
+
+
+class TestCotree:
+    def test_schreier_tree_spans_the_image(self):
+        pres = parse_presentation(TORUS)
+        hom = Homomorphism(pres, make_elementary_abelian(2, 2), [1, 2])
+        assert hom.schreier_tree() == ([0, 1, 2, 3], {(0, 0), (0, 1), (1, 1)})
+        rng = np.random.default_rng(20261021)
+        for pres, hom, _ in cotree_cases(rng):
+            elements, tree = hom.schreier_tree()
+            assert sorted(elements) == hom.image.tolist() and elements[0] == hom.group.identity_index
+            assert len(tree) == hom.image_order - 1, (pres, hom)
+            assert all(x in elements and 0 <= j < pres.n_generators for x, j in tree)
+
+    def test_block_is_the_kernel_exponent_sum_matrix(self, monkeypatch):
+        # row (c, j) of the transposed cotree block is the Schreier generator
+        # of coset c and generator j, column (i, c) relator i rewritten from
+        # coset c: both in the kernel presentation's order, entry by entry
+        rng = np.random.default_rng(20261022)
+        kinds = set()
+        for pres, hom, p in cotree_cases(rng):
+            _, block = cotree_block(monkeypatch, pres, hom, p)
+            kernel = reidemeister_schreier(pres, hom)
+            k, n, m = hom.image_order, pres.n_generators, pres.n_relators
+            assert block.shape == (k * (n - 1) + 1, k * m), (pres, hom, p)
+            assert np.array_equal(block, exponent_sum_matrix(kernel, p).array), (pres, hom, p)
+            kinds.add((hom.surjective, hom.group.identity_index in hom.images, n == 1, m > 0))
+        assert (False, True, False, True) in kinds and (True, False, True, True) in kinds
+
+    def test_rank_and_betti_numbers_match_the_full_block(self, monkeypatch):
+        # rank(d2 over K) = rank(its cotree block), and the Betti numbers
+        # are those of the full d2 and d1
+        rng = np.random.default_rng(20261023)
+        cases = [random_case(rng) for _ in range(80)]
+        for _ in range(40):
+            group = [make_cyclic(6), make_elementary_abelian(3, 2), symmetric_group_3()][int(rng.integers(0, 3))]
+            n = int(rng.integers(1, 4))
+            images = [int(x) if rng.random() < 0.6 else group.identity_index for x in rng.integers(0, group.size, n)]
+            cases.append(random_case(rng, group, images))
+        kinds = set()
+        for pres, hom, p in cases:
+            cover, block = cotree_block(monkeypatch, pres, hom, p)
+            H, n, m = hom.group.size, pres.n_generators, pres.n_relators
+            rows, cols = ((np.arange(k)[:, None] * H + hom.image).ravel() for k in (m, n))
+            r2_k = fpexact.rank(FpMatrix._wrap(cover.d2.array[np.ix_(rows, cols)], p))  # the block over K
+            assert fpexact.rank(FpMatrix._wrap(block, p)) == r2_k, (pres, hom, p)
+            r2, r1 = fpexact.rank(cover.d2), fpexact.rank(cover.d1)
+            assert r2 == cover.b0 * r2_k, (pres, hom, p)
+            assert (cover.b0, cover.b1, cover.b2) == (H - r1, H * n - r2 - r1, H * m - r2), (pres, hom, p)
+            kinds.add((n == 1, hom.group.identity_index in hom.images, hom.surjective))
+        assert {(True, False, True), (False, True, False)} <= kinds
+
