@@ -7,16 +7,16 @@ over the group ring F_p[H]; ``equivariant_block`` expands a (rows, cols,
 |H|) array of group-ring entries into the |H|rows x |H|cols matrix whose
 row (i, g) is delta_g times entry (i, j) in column block j.  d2 expands
 the (relator, generator, element) array of images of Fox derivatives, d1
-the column delta_{phi(a_j)} - delta_e.  The homomorphism records the
-elements of its image K, and b0 = [H : K].  Prefix images and the
-phi(a_j) lie in K, so d2 and d1 are block-diagonal over the cosets gK,
-every block a copy of the one over K: ``build_cover`` expands only that
-block of each, in the order of ``Homomorphism.schreier_tree``, certifies
-d2 @ d1 = 0 on it, and takes rank(d2) = [H : K] times the rank of the
-block's columns off the tree, as the block's rows are 1-cycles; transposed,
-those columns are the exponent-sum matrix of the Reidemeister-Schreier
-kernel.  A cover keeps the seed arrays; its full d2 and d1 are expanded on
-first read, for the oracles rank(d1) = |H| - b0 and rank(d2) = |H| m - b2.
+the column delta_{phi(a_j)} - delta_e.  The homomorphism walks its image
+K once, and the walk's tree is a Schreier transversal; b0 = [H : K].  d2
+and d1 are block-diagonal over the cosets gK, every block a copy of the
+one over K: ``build_cover`` gathers d1's block, and d2's block columns off
+the tree, from the seeds through K's left division, certifies d2 @ d1 = 0
+on the seed rows, and takes rank(d2) = [H : K] times the rank of those
+columns, as the block's rows are 1-cycles; transposed, they are the
+exponent-sum matrix of the Reidemeister-Schreier kernel.  A cover keeps
+the seed arrays; its full d2 and d1 are expanded on first read, for the
+oracles rank(d1) = |H| - b0 and rank(d2) = |H| m - b2.
 
 Homomorphism text format, one line per generator::
 
@@ -67,13 +67,15 @@ class Homomorphism:
     """Generator images defining a map from the presented group to a finite group.
 
     Compatibility (every relator maps to the identity) is enforced at
-    construction; ``image`` is the read-only index array, in index order,
-    of the subgroup the images generate.  ``letter_action[s][j]`` is the list
-    ``group.mult[:, h]`` for h the image of a_j^s (s = +-1): entry x is x h,
-    so every word walk steps one letter by one list lookup.
+    construction.  ``letter_action[s][j]`` is the list ``group.mult[:, h]``
+    for h the image of a_j^s (s = +-1): entry x is x h, so every word walk
+    steps one letter by one list lookup.  One breadth-first search, positive
+    letters first, walks the image and is its Schreier transversal: ``cosets``
+    in the order reached, ``image`` sorted (read-only), and
+    ``schreier_generators`` the (coset, j) pairs off its tree, coset-major.
     """
 
-    __slots__ = ("source", "group", "images", "letter_action", "image")
+    __slots__ = ("source", "group", "images", "letter_action", "cosets", "schreier_generators", "image")
 
     def __init__(self, source: Presentation, group: OrderedGroup, images: Sequence[int]):
         images = tuple(int(x) for x in images)
@@ -94,7 +96,20 @@ class Homomorphism:
             img = self.word_image(rel)
             if img != group.identity_index:
                 raise IncompatibleHomomorphismError(i, img, group.element_names[img])
-        object.__setattr__(self, "image", group.closure(images))
+        letters = [(j, s == 1, column) for s in (1, -1) for j, column in enumerate(self.letter_action[s])]
+        cosets, seen, tree = [group.identity_index], {group.identity_index}, set()
+        for x in cosets:  # grows while it is walked: breadth first
+            for j, positive, column in letters:
+                y = column[x]
+                if y not in seen:
+                    seen.add(y)
+                    cosets.append(y)
+                    tree.add((x, j) if positive else (y, j))  # the edge a_j runs x -> y, or y -> x
+        object.__setattr__(self, "cosets", tuple(cosets))
+        object.__setattr__(self, "schreier_generators", tuple(
+            (c, j) for c, x in enumerate(cosets) for j in range(len(images)) if (x, j) not in tree))
+        object.__setattr__(self, "image", np.sort(cosets))
+        self.image.setflags(write=False)
 
     @property
     def image_order(self) -> int:
@@ -121,23 +136,6 @@ class Homomorphism:
     def word_image(self, word: FreeWord) -> int:
         """Index of the image of a free word in the target group."""
         return self.prefix_images(word)[-1]
-
-    def schreier_tree(self) -> tuple[list[int], set[tuple[int, int]]]:
-        """Breadth-first spanning tree of the image's Cayley graph, edges
-        x -> x phi(a_j): the elements in the order the search reaches them
-        over letters (all positive letters in generator order, then the
-        inverses), and the tree edges as (x, j) pairs."""
-        letters = [(j, s == 1, column) for s in (1, -1) for j, column in enumerate(self.letter_action[s])]
-        elements = [self.group.identity_index]
-        seen, tree = set(elements), set()
-        for x in elements:  # grows while it is walked: breadth first
-            for j, positive, column in letters:
-                y = column[x]
-                if y not in seen:
-                    seen.add(y)
-                    elements.append(y)
-                    tree.add((x, j) if positive else (y, j))  # the edge a_j runs x -> y, or y -> x
-        return elements, tree
 
     def __repr__(self) -> str:
         pairs = ", ".join(
@@ -262,22 +260,23 @@ def build_cover(pres: Presentation, hom: Homomorphism, p: int) -> CoverComplex:
     edges.setflags(write=False)
     # Prefix images and the phi(a_j) lie in the image K, so d2 and d1 only join
     # (i, g) to (j, g k) with k in K: each is block-diagonal over the cosets gK,
-    # every block a copy of the one over K.  The components are those cosets.
-    elements, tree = hom.schreier_tree()
-    K = np.array(elements)  # the image, in the tree's order
+    # every block a copy of the one over K, whose entry ((i, y), (j, x)) is
+    # seed[i, j, y^-1 x]; ldiv[y, x] is the position of y^-1 x in K.
+    K, k = np.array(hom.cosets), hom.image_order  # the image, in the transversal's order
     position = np.zeros(H, dtype=np.int64)
-    position[K] = np.arange(len(K))
-    table = position[group.mult[K[:, None], K]]  # K's table, in K's indices
+    position[K] = np.arange(k)
+    ldiv = position[group.mult[group.inverse_table[K][:, None], K]]
     seeds_k = seeds[:, :, K]
     # Each row of d2 is a 1-cycle, as d2 @ d1 = 0, and a cycle with no part off a
-    # spanning tree is zero, so the block's columns (j, x) off the tree have its
-    # rank; coset-major and transposed they are the kernel's exponent-sum matrix.
-    c, j = np.nonzero([[(x, j) not in tree for j in range(n)] for x in elements])
-    cotree = equivariant_block(table, seeds_k).T[j * len(K) + c]
-    d1_k = FpMatrix._wrap(equivariant_block(table, edges[:, :, K]), p)
-    # Row (i, g) of d2 @ d1 is delta_g times row (i, e), and row (i, e) of
-    # d2 is the seed row: checking the seed rows certifies d2 @ d1 = 0.
-    if not (FpMatrix._wrap(seeds_k.reshape(m, n * len(K)), p) @ d1_k).is_zero():
+    # spanning tree is zero, so the block's columns (j, c) off the tree have its
+    # rank; transposed, entry ((c, j), (i, y)) = seeds_k[i, j, ldiv[y, c]].
+    c, j = np.array(hom.schreier_generators, dtype=np.int64).reshape(-1, 2).T
+    cotree = seeds_k[np.arange(m)[:, None], j[:, None, None], ldiv.T[c][:, None]].reshape(len(c), m * k)
+    # Row (i, g) of d2 @ d1 is delta_g times row (i, e), the seed row, so checking the
+    # seed rows certifies d2 @ d1 = 0; d1's block, row (j, y) and column x
+    # edges[j, 0, ldiv[y, x]], is a temporary, freed before the rank.
+    if not (FpMatrix._wrap(seeds_k.reshape(m, n * k), p)
+            @ FpMatrix._wrap(edges[:, 0, K][:, ldiv].reshape(n * k, k), p)).is_zero():
         raise RuntimeError("boundary maps do not compose to zero")
 
     b0 = H // hom.image_order
@@ -304,8 +303,7 @@ def check_balance_pattern(cover: CoverComplex) -> tuple[tuple[bool, ...], ...]:
     balanced, i.e. the exponent sum of generator j in relator i vanishes
     mod p.  Over a presentation whose boundary matrix is diagonal, the
     unbalanced blocks sit exactly on the leading diagonal."""
-    balanced = cover.seeds.sum(axis=2) % cover.p == 0
-    return tuple(tuple(bool(b) for b in row) for row in balanced)
+    return tuple(tuple(bool(b) for b in row) for row in cover.base.boundary.array.T == 0)
 
 
 @dataclass(frozen=True)

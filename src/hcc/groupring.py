@@ -4,8 +4,8 @@ An ordered group is a finite group whose elements are identified with the
 indices ``0..n-1`` of its multiplication table; the total order on the
 group is the index order.  Group-ring elements are length-``n``
 coefficient vectors over F_p indexed that way, multiplied by convolution.
-Subgroups (``closure``, ``generating_set``, the dimension subgroups below)
-all come from one greedy walk, ``OrderedGroup._walk``.
+Subgroups (``generating_set``, the dimension subgroups below) all come
+from one greedy walk, ``OrderedGroup._walk``.
 
 The augmentation map sums coefficients; its kernel is the augmentation
 ideal I.  The dimension profile of its powers (with the jumps between
@@ -169,12 +169,6 @@ class OrderedGroup:
                         members.append(y)
                 i += 1
         return np.frombuffer(seen, dtype=bool), kept
-
-    def closure(self, seed: Iterable[int]) -> np.ndarray:
-        """Subgroup generated by ``seed``, as a read-only sorted index array."""
-        members = np.flatnonzero(self._walk(seed)[0])
-        members.setflags(write=False)
-        return members
 
     def generating_set(self) -> tuple[int, ...]:
         """Greedy generating set: scan elements in order, keep the new ones."""

@@ -429,28 +429,24 @@ def reidemeister_schreier(pres: Presentation, hom) -> Presentation:
     """Presentation of the kernel of ``hom`` by Schreier rewriting.
 
     Cosets are the elements of the image of ``hom``, numbered in the
-    order ``hom.schreier_tree()`` reaches them; its tree is a Schreier
+    order ``hom.cosets`` lists them; its search tree is a Schreier
     transversal.  The Schreier generator of a (coset c, generator j) pair
     is freely trivial exactly when its letter is a tree edge, so the
-    kernel generators are the pairs off the tree, named
-    ``<generator>_<coset>``; each relator contributes one rewritten copy
-    per coset (relator-major order).
+    kernel generators are ``hom.schreier_generators``, the pairs off the
+    tree, named ``<generator>_<coset>``; each relator contributes one
+    rewritten copy per coset (relator-major order).
     """
     if hom.source is not pres and hom.source.to_text() != pres.to_text():
         raise ValueError("homomorphism was built from a different presentation")
     n = pres.n_generators
     act = hom.letter_action
-    elements, tree = hom.schreier_tree()  # tree: (x, j), the letter a_j leaving x
-    coset_of = {x: c for c, x in enumerate(elements)}
-    up = [[coset_of[act[1][j][x]] for j in range(n)] for x in elements]
-    down = [[coset_of[act[-1][j][x]] for j in range(n)] for x in elements]
-    gen_id: list[list[int | None]] = [[None] * n for _ in elements]
-    names: list[str] = []
-    for c, x in enumerate(elements):
-        for j in range(n):
-            if (x, j) not in tree:
-                gen_id[c][j] = len(names)
-                names.append(f"{pres.generator_names[j]}_{c}")
+    coset_of = {x: c for c, x in enumerate(hom.cosets)}
+    up = [[coset_of[act[1][j][x]] for j in range(n)] for x in hom.cosets]
+    down = [[coset_of[act[-1][j][x]] for j in range(n)] for x in hom.cosets]
+    gen_id: list[list[int | None]] = [[None] * n for _ in hom.cosets]
+    for k, (c, j) in enumerate(hom.schreier_generators):
+        gen_id[c][j] = k
+    names = tuple(f"{pres.generator_names[j]}_{c}" for c, j in hom.schreier_generators)
 
     def rewrite(word: FreeWord, c: int) -> FreeWord:
         out: list[tuple[int, int]] = []
@@ -467,5 +463,5 @@ def reidemeister_schreier(pres: Presentation, hom) -> Presentation:
         # would be adjacent, and cancelling, in the reduced input word
         return FreeWord._wrap(tuple(out))
 
-    relators = tuple(rewrite(rel, c) for rel in pres.relators for c in range(len(elements)))
-    return Presentation(tuple(names), relators)
+    relators = tuple(rewrite(rel, c) for rel in pres.relators for c in range(len(hom.cosets)))
+    return Presentation(names, relators)

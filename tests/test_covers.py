@@ -334,6 +334,18 @@ def random_case(rng, group=None, images=None):
     return pres, Homomorphism(pres, group, images), p
 
 
+class CountingList(list):
+    """A list that records every index it is read at."""
+
+    def __init__(self, items, reads):
+        super().__init__(items)
+        self.reads = reads
+
+    def __getitem__(self, i):
+        self.reads.append(i)
+        return super().__getitem__(i)
+
+
 class TestSeedAssembly:
     def test_d2_matches_reference_on_corpus(self):
         for item in corpus.CORPUS:
@@ -377,14 +389,21 @@ class TestSeedAssembly:
         assert (cover.b0, cover.b1, cover.b2) == (1, 2, 1)
 
     def test_one_closure_per_cover(self, monkeypatch):
-        # the homomorphism records the order of its image; build_cover reads it
+        # the homomorphism walks its image once, when it is built, and records
+        # the walk; build_cover reads the letter table only along the relator
         pres = parse_presentation(TORUS)
         group = make_elementary_abelian(2, 2)
-        calls = []
-        closure = OrderedGroup.closure
-        monkeypatch.setattr(OrderedGroup, "closure", lambda self, seed: calls.append(seed) or closure(self, seed))
-        cover = build_cover(pres, Homomorphism(pres, group, [1, 1]), 2)
-        assert len(calls) == 1
+        walks = []
+        walk = OrderedGroup._walk
+        monkeypatch.setattr(OrderedGroup, "_walk", lambda self, seed: walks.append(seed) or walk(self, seed))
+        hom = Homomorphism(pres, group, [1, 1])
+        assert hom.cosets == (0, 1) and hom.schreier_generators == ((0, 1), (1, 0), (1, 1))
+        reads = []
+        counted = {s: tuple(CountingList(column, reads) for column in columns)
+                   for s, columns in hom.letter_action.items()}
+        object.__setattr__(hom, "letter_action", counted)
+        cover = build_cover(pres, hom, 2)
+        assert len(reads) == len(pres.relators[0]) and walks == []  # one prefix walk, no search
         assert cover.hom.image_order == 2 and not cover.hom.surjective and cover.b0 == 2
 
     def test_ranks_one_coset_block(self, monkeypatch):
@@ -476,20 +495,22 @@ class TestSeedAssembly:
             build_cover(pres, Homomorphism(pres, make_elementary_abelian(2, 2), [1, 1]), 2)
 
     def test_expands_only_the_image_block(self, monkeypatch):
-        # the image K has order 2 in (Z2)^2: build_cover expands d2 and d1
-        # over K alone, and the full matrices are expanded when read
+        # the image K has order 2 in (Z2)^2: build_cover gathers the blocks
+        # over K from the seeds and expands nothing; the full matrices are
+        # expanded once each, when read
         expanded = []
         expand = covers.equivariant_block
         monkeypatch.setattr(covers, "equivariant_block", lambda t, s: expanded.append((t, s)) or expand(t, s))
         pres = parse_presentation(TORUS)
         hom = Homomorphism(pres, make_elementary_abelian(2, 2), [1, 1])
         cover = build_cover(pres, hom, 2)
-        shapes = [(table.shape, seed.shape) for table, seed in expanded]
-        assert shapes == [((2, 2), (1, 2, 2)), ((2, 2), (2, 1, 2))]  # d2's seeds, then d1's
+        assert expanded == []
         assert (cover.d2.rows, cover.d2.cols, cover.d1.rows, cover.d1.cols) == (4, 8, 8, 4)
         assert np.array_equal(cover.d2.array, reference_d2(pres, hom, 2))
         assert np.array_equal(cover.d1.array, reference_d1(hom, 2))
-        assert len(expanded) == 4 and cover.d2 is cover.d2  # each expanded once
+        shapes = [(table.shape, seed.shape) for table, seed in expanded]
+        assert shapes == [((4, 4), (1, 2, 4)), ((4, 4), (2, 1, 4))]  # d2's seeds, then d1's
+        assert cover.d2 is cover.d2 and cover.d1 is cover.d1 and len(expanded) == 2
 
     def test_caps_count_the_full_matrices(self, monkeypatch, tmp_path, capsys):
         # with no relators the refusal is d1's: it needs 4 * 2 * 4 = 32
@@ -659,15 +680,51 @@ def cotree_cases(rng):
 
 class TestCotree:
     def test_schreier_tree_spans_the_image(self):
+        # the tree edges are (0, a), (0, b) and (1, b); every other pair is a
+        # Schreier generator
         pres = parse_presentation(TORUS)
         hom = Homomorphism(pres, make_elementary_abelian(2, 2), [1, 2])
-        assert hom.schreier_tree() == ([0, 1, 2, 3], {(0, 0), (0, 1), (1, 1)})
+        assert hom.cosets == (0, 1, 2, 3)
+        assert hom.schreier_generators == ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1))
         rng = np.random.default_rng(20261021)
         for pres, hom, _ in cotree_cases(rng):
-            elements, tree = hom.schreier_tree()
-            assert sorted(elements) == hom.image.tolist() and elements[0] == hom.group.identity_index
-            assert len(tree) == hom.image_order - 1, (pres, hom)
-            assert all(x in elements and 0 <= j < pres.n_generators for x, j in tree)
+            k, n, act = hom.image_order, pres.n_generators, hom.letter_action
+            assert sorted(hom.cosets) == hom.image.tolist() and hom.cosets[0] == hom.group.identity_index
+            assert list(hom.schreier_generators) == sorted(set(hom.schreier_generators)), (pres, hom)
+            tree = sorted({(c, j) for c in range(k) for j in range(n)} - set(hom.schreier_generators))
+            assert len(tree) == k - 1, (pres, hom)
+            coset_of = {x: c for c, x in enumerate(hom.cosets)}
+            edges = [(c, coset_of[act[1][j][hom.cosets[c]]]) for c, j in tree]
+            reached = {0}
+            for _ in range(k):  # the k - 1 tree edges join every coset to the identity's
+                reached |= {v for edge in edges if set(edge) & reached for v in edge}
+            assert reached == set(range(k)), (pres, hom)
+
+    def test_certificate_reads_the_block_of_full_d1(self, monkeypatch):
+        # the right operand of build_cover's certificate, gathered from the
+        # edge seeds, is the full d1 on rows (j, x) and columns x for x in K,
+        # in coset order: the scatter in equivariant_block is the oracle
+        rng = np.random.default_rng(20261024)
+        operands = []
+        matmul = FpMatrix.__matmul__
+        monkeypatch.setattr(FpMatrix, "__matmul__", lambda a, b: operands.append(b.array) or matmul(a, b))
+        for pres, hom, p in cotree_cases(rng):
+            operands.clear()
+            cover = build_cover(pres, hom, p)
+            K, H, n = np.array(hom.cosets), hom.group.size, pres.n_generators
+            rows = (np.arange(n)[:, None] * H + K).ravel()
+            assert len(operands) == 1, (pres, hom, p)
+            assert np.array_equal(operands[0], cover.d1.array[np.ix_(rows, K)]), (pres, hom, p)
+
+    def test_zero_generator_presentation(self):
+        # the trivial group into Z3: three points, and a kernel with no generators
+        pres = Presentation((), ())
+        hom = Homomorphism(pres, make_cyclic(3), [])
+        cover = build_cover(pres, hom, 3)
+        assert (cover.b0, cover.b1, cover.b2) == (3, 0, 0)
+        assert hom.cosets == (0,) and hom.schreier_generators == ()
+        kernel = reidemeister_schreier(pres, hom)
+        assert kernel.n_generators == 0 and kernel.n_relators == 0
 
     def test_block_is_the_kernel_exponent_sum_matrix(self, monkeypatch):
         # row (c, j) of the transposed cotree block is the Schreier generator

@@ -692,10 +692,8 @@ class TestWalk:
                 seed = rng.integers(0, n, size=int(rng.integers(1, 5))).tolist()
                 seeds += [seed, seed + seed + [e]]
             for seed in seeds:
-                got = group.closure(seed)
+                got = np.flatnonzero(group._walk(seed)[0])
                 assert got.tolist() == set_closure(group, seed), (group.label, seed)
-                with pytest.raises(ValueError):
-                    got[0] = 0
 
     def test_generating_set_is_the_reclosing_rule(self):
         for group in power_groups():
