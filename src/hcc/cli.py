@@ -86,7 +86,7 @@ def _group_from_args(args, p: int) -> groupring.OrderedGroup:
 
 def _cmd_omega(args, out) -> int:
     if args.suite is not None:
-        report = omega.check_inequality_suite(args.suite, (2, 3, 5, 7))
+        report = omega.check_inequality_suite(args.suite)
         violations = report.discipline_violations()
         rows = [
             [r.family, ",".join(str(x) for x in r.params), r.lhs, r.rhs,

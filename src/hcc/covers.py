@@ -71,11 +71,12 @@ class Homomorphism:
     for h the image of a_j^s (s = +-1): entry x is x h, so every word walk
     steps one letter by one list lookup.  One breadth-first search, positive
     letters first, walks the image and is its Schreier transversal: ``cosets``
-    in the order reached, ``image`` sorted (read-only), and
-    ``schreier_generators`` the (coset, j) pairs off its tree, coset-major.
+    in the order reached, ``position`` each element's index in ``cosets`` (-1
+    off the image; read-only), and ``schreier_generators`` the (coset, j) pairs
+    off its tree, coset-major.
     """
 
-    __slots__ = ("source", "group", "images", "letter_action", "cosets", "schreier_generators", "image")
+    __slots__ = ("source", "group", "images", "letter_action", "cosets", "position", "schreier_generators")
 
     def __init__(self, source: Presentation, group: OrderedGroup, images: Sequence[int]):
         images = tuple(int(x) for x in images)
@@ -97,23 +98,24 @@ class Homomorphism:
             if img != group.identity_index:
                 raise IncompatibleHomomorphismError(i, img, group.element_names[img])
         letters = [(j, s == 1, column) for s in (1, -1) for j, column in enumerate(self.letter_action[s])]
-        cosets, seen, tree = [group.identity_index], {group.identity_index}, set()
+        cosets, position, tree = [group.identity_index], [-1] * group.size, set()
+        position[group.identity_index] = 0
         for x in cosets:  # grows while it is walked: breadth first
             for j, positive, column in letters:
                 y = column[x]
-                if y not in seen:
-                    seen.add(y)
+                if position[y] < 0:
+                    position[y] = len(cosets)
                     cosets.append(y)
                     tree.add((x, j) if positive else (y, j))  # the edge a_j runs x -> y, or y -> x
         object.__setattr__(self, "cosets", tuple(cosets))
+        object.__setattr__(self, "position", np.array(position))
+        self.position.setflags(write=False)
         object.__setattr__(self, "schreier_generators", tuple(
             (c, j) for c, x in enumerate(cosets) for j in range(len(images)) if (x, j) not in tree))
-        object.__setattr__(self, "image", np.sort(cosets))
-        self.image.setflags(write=False)
 
     @property
     def image_order(self) -> int:
-        return len(self.image)
+        return len(self.cosets)
 
     @property
     def surjective(self) -> bool:
@@ -244,12 +246,10 @@ def build_cover(pres: Presentation, hom: Homomorphism, p: int) -> CoverComplex:
     for i, rel in enumerate(pres.relators):
         images = np.array(hom.prefix_images(rel))
         for j in range(n):
-            # fox_derivative's prefixes are the leading slices of rel: a
-            # term's prefix image is read off its length
             terms = fox_derivative(rel, j)
             if terms:
-                ends = [len(prefix) for _, prefix in terms]
-                np.add.at(seeds[i, j], images[ends], [sign for sign, _ in terms])
+                signs, ends = zip(*terms)
+                np.add.at(seeds[i, j], images[list(ends)], signs)
     seeds %= p
     seeds.setflags(write=False)
     # d1 is the column (phi(a_j) - 1): zero where a_j maps to the identity
@@ -263,9 +263,7 @@ def build_cover(pres: Presentation, hom: Homomorphism, p: int) -> CoverComplex:
     # every block a copy of the one over K, whose entry ((i, y), (j, x)) is
     # seed[i, j, y^-1 x]; ldiv[y, x] is the position of y^-1 x in K.
     K, k = np.array(hom.cosets), hom.image_order  # the image, in the transversal's order
-    position = np.zeros(H, dtype=np.int64)
-    position[K] = np.arange(k)
-    ldiv = position[group.mult[group.inverse_table[K][:, None], K]]
+    ldiv = hom.position[group.mult[group.inverse_table[K][:, None], K]]
     seeds_k = seeds[:, :, K]
     # Each row of d2 is a 1-cycle, as d2 @ d1 = 0, and a cycle with no part off a
     # spanning tree is zero, so the block's columns (j, c) off the tree have its

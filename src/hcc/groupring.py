@@ -222,7 +222,7 @@ class OrderedGroup:
         return f"OrderedGroup({self.label}, order {self.size})"
 
 
-def make_elementary_abelian(p: int, r: int, label: str | None = None) -> OrderedGroup:
+def make_elementary_abelian(p: int, r: int) -> OrderedGroup:
     """(Z_p)^r with elements ordered by weight, then by generator indices.
 
     The identity comes first, then e_1 < e_2 < ... < e_r, then the
@@ -258,14 +258,14 @@ def make_elementary_abelian(p: int, r: int, label: str | None = None) -> Ordered
             names.append("+".join(f"{c}e{i + 1}" if c > 1 else f"e{i + 1}" for i, c in enumerate(t) if c))
     return OrderedGroup(
         table,
-        label=label or f"(Z{p})^{r}",
+        label=f"(Z{p})^{r}",
         element_names=names,
         ea_tuples=tuples,
         _inverses=inverses,
     )
 
 
-def make_cyclic(n: int, label: str | None = None) -> OrderedGroup:
+def make_cyclic(n: int) -> OrderedGroup:
     """Cyclic group of order n, written additively, ordered 0, 1, ..., n-1."""
     if n < 1:
         raise ValueError("order must be at least 1")
@@ -273,10 +273,10 @@ def make_cyclic(n: int, label: str | None = None) -> OrderedGroup:
     idx = np.arange(n, dtype=np.int64)
     table = (idx[:, None] + idx[None, :]) % n
     names = [str(i) for i in range(n)]
-    return OrderedGroup(table, label=label or f"Z{n}", element_names=names, _inverses=-idx % n)
+    return OrderedGroup(table, label=f"Z{n}", element_names=names, _inverses=-idx % n)
 
 
-def make_product(a: OrderedGroup, b: OrderedGroup, label: str | None = None) -> OrderedGroup:
+def make_product(a: OrderedGroup, b: OrderedGroup) -> OrderedGroup:
     """Direct product with lexicographic order: (x, y) at index x*|b| + y."""
     na, nb = a.size, b.size
     check_entry_count(na * nb * na * nb, "multiplication table")
@@ -284,7 +284,7 @@ def make_product(a: OrderedGroup, b: OrderedGroup, label: str | None = None) -> 
         a.mult[:, None, :, None] * nb + b.mult[None, :, None, :]
     ).reshape(na * nb, na * nb)
     names = [f"({na_},{nb_})" for na_ in a.element_names for nb_ in b.element_names]
-    return OrderedGroup(table, label=label or f"{a.label}x{b.label}", element_names=names)
+    return OrderedGroup(table, label=f"{a.label}x{b.label}", element_names=names)
 
 
 def parse_group_table(text: str) -> OrderedGroup:
@@ -480,6 +480,8 @@ class FiltrationProfile:
 
     def contains(self, k: int, v: GroupRingElement) -> bool:
         """Membership of ``v`` in the k-th power, by pivot-order reduction against the echelon basis."""
+        if k < 0:
+            raise ValueError("k must be non-negative")
         if v.group.table_hash != self.group.table_hash or v.p != self.p:
             raise ValueError("element does not live in this profile's group ring")
         bases = _level_bases(self.p, self.group)

@@ -23,6 +23,7 @@ __all__ = [
     "InequalitySuiteReport",
     "OmegaTable",
     "Partition",
+    "SUITE_PRIMES",
     "check_inequality_suite",
     "omega_by_alternating_sum",
     "omega_by_convolution",
@@ -32,6 +33,7 @@ __all__ = [
 ]
 
 CONVOLUTION_DEGREE_CAP = 10_000
+SUITE_PRIMES = (2, 3, 5, 7)  # the primes the inequality suite and the identity checks range over
 
 
 @dataclass(frozen=True)
@@ -252,12 +254,9 @@ class InequalitySuiteReport:
         return tuple(bad)
 
 
-def check_inequality_suite(
-    r_max: int,
-    p_list: tuple[int, ...] = (2, 3, 5, 7),
-    t_max: int | None = None,
-) -> InequalitySuiteReport:
-    """Evaluate every inequality family exactly over the given ranges."""
+def check_inequality_suite(r_max: int, t_max: int | None = None) -> InequalitySuiteReport:
+    """Evaluate every inequality family exactly over the given ranges and
+    the primes ``SUITE_PRIMES``."""
     if r_max < 1:
         raise ValueError("r_max must be at least 1")
     if t_max is None:
@@ -279,7 +278,7 @@ def check_inequality_suite(
         lhs = pi_value(2, r, (r + 1) // 2)
         rhs = 2 ** (r - 1) - 1
         rows.append(InequalityRow("pi_lower", (r,), lhs, rhs, lhs >= rhs, lhs == rhs))
-    for p in p_list:
+    for p in SUITE_PRIMES:
         if p == 2:
             continue
         for r in range(1, r_max + 1):

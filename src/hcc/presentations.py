@@ -72,35 +72,28 @@ def _free_reduce(letters: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], .
 class FreeWord:
     """A freely reduced word: a sequence of (generator index, +-1) letters.
 
-    A word holds a letter tuple and a length, and its letters are the
-    first ``len`` entries of that tuple.  A prefix of a longer word (as
-    ``fox_derivative`` returns them) shares the longer word's tuple, so it
-    is made in O(1) and sliced only when its ``letters`` are read.  Words
-    are immutable: ``letters`` is read-only and both slots are private.
+    Words are immutable: ``letters`` is read-only and its slot is private.
     """
 
-    __slots__ = ("_source", "_length")
+    __slots__ = ("_letters",)
 
     def __init__(self, letters: Iterable[tuple[int, int]] = ()):
         reduced = _free_reduce(letters)
         for g, s in set(reduced):  # each distinct letter once
             if g < 0 or s not in (1, -1):
                 raise ValueError(f"bad letter ({g}, {s})")
-        self._source = reduced
-        self._length = len(reduced)
+        self._letters = reduced
 
     @classmethod
     def _wrap(cls, letters: tuple[tuple[int, int], ...]) -> "FreeWord":
         # internal: letters already freely reduced and validated
         w = object.__new__(cls)
-        w._source = letters
-        w._length = len(letters)
+        w._letters = letters
         return w
 
     @property
     def letters(self) -> tuple[tuple[int, int], ...]:
-        source = self._source
-        return source if len(source) == self._length else source[: self._length]
+        return self._letters
 
     @classmethod
     def empty(cls) -> "FreeWord":
@@ -111,13 +104,13 @@ class FreeWord:
         return cls(((g, sign),))
 
     def __len__(self) -> int:
-        return self._length
+        return len(self._letters)
 
     def __iter__(self):
         return iter(self.letters)
 
     def __bool__(self) -> bool:
-        return self._length > 0
+        return bool(self._letters)
 
     def __mul__(self, other: "FreeWord") -> "FreeWord":
         return FreeWord(self.letters + other.letters)
@@ -128,9 +121,6 @@ class FreeWord:
     def __pow__(self, n: int) -> "FreeWord":
         base = self if n >= 0 else self.inverse()
         return FreeWord(base.letters * abs(n))
-
-    def exponent_sum(self, g: int) -> int:
-        return sum(s for gg, s in self.letters if gg == g)
 
     def max_generator(self) -> int:
         """Largest generator index used, or -1 for the empty word."""
@@ -155,14 +145,6 @@ class FreeWord:
 
     def __repr__(self) -> str:
         return f"FreeWord({self.letters})"
-
-
-class _Prefix(FreeWord):
-    """A word made with no arguments, its slots set by the caller: the
-    prefixes ``fox_derivative`` returns, made without a Python-level call."""
-
-    __slots__ = ()
-    __init__ = object.__init__
 
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
@@ -310,25 +292,15 @@ def parse_presentation(text: str) -> Presentation:
     return Presentation(tuple(index), tuple(relators))
 
 
-def fox_derivative(word: FreeWord, j: int) -> tuple[tuple[int, FreeWord], ...]:
-    """Free derivative with respect to generator j, as (sign, prefix) terms.
+def fox_derivative(word: FreeWord, j: int) -> tuple[tuple[int, int], ...]:
+    """Free derivative with respect to generator j, as (sign, k) terms, each
+    sign times the prefix of ``word`` of length k, in increasing k.
 
     Satisfies d(uv) = du + u dv with d(a_j) = 1 and d(a_j^-1) = -a_j^-1:
     a positive occurrence of a_j contributes + (prefix before it); a
     negative occurrence contributes - (prefix including it).
     """
-    # every prefix of a reduced word is reduced: each one shares the word's
-    # letter tuple and differs only in its length, so a term costs O(1)
-    source = word._source
-    terms = []
-    append = terms.append
-    for k, (g, s) in enumerate(word.letters):
-        if g == j:
-            prefix = _Prefix()
-            prefix._source = source
-            prefix._length = k if s == 1 else k + 1
-            append((s, prefix))
-    return tuple(terms)
+    return tuple((s, k if s == 1 else k + 1) for k, (g, s) in enumerate(word.letters) if g == j)
 
 
 @dataclass(frozen=True)
@@ -440,9 +412,9 @@ def reidemeister_schreier(pres: Presentation, hom) -> Presentation:
         raise ValueError("homomorphism was built from a different presentation")
     n = pres.n_generators
     act = hom.letter_action
-    coset_of = {x: c for c, x in enumerate(hom.cosets)}
-    up = [[coset_of[act[1][j][x]] for j in range(n)] for x in hom.cosets]
-    down = [[coset_of[act[-1][j][x]] for j in range(n)] for x in hom.cosets]
+    position = hom.position.tolist()
+    up = [[position[act[1][j][x]] for j in range(n)] for x in hom.cosets]
+    down = [[position[act[-1][j][x]] for j in range(n)] for x in hom.cosets]
     gen_id: list[list[int | None]] = [[None] * n for _ in hom.cosets]
     for k, (c, j) in enumerate(hom.schreier_generators):
         gen_id[c][j] = k

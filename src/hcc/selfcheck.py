@@ -23,7 +23,7 @@ from .groupring import (
     make_elementary_abelian,
     ring_mul,
 )
-from .omega import omega_by_alternating_sum, omega_by_convolution, omega_by_partitions
+from .omega import SUITE_PRIMES, omega_by_alternating_sum, omega_by_convolution, omega_by_partitions
 from .presentations import complex_summary, normalize_presentation, parse_presentation, reidemeister_schreier
 
 __all__ = ["CheckResult", "run_all", "ALL_CHECKS"]
@@ -110,13 +110,13 @@ def check_jennings(limit: int = 128) -> CheckResult:
     return _ok(name, f"{count} pairs (p, r) with p^r <= {limit} agree")
 
 
-def check_omega_identities(r_max: int = 12, p_list: tuple[int, ...] = (2, 3, 5, 7)) -> CheckResult:
+def check_omega_identities(r_max: int = 12) -> CheckResult:
     """Criterion 3: three formulas agree; recursion, symmetry, strict
     unimodality, ratio discipline, and total p^r."""
     name = "omega-identities"
     import math
 
-    for p in p_list:
+    for p in SUITE_PRIMES:
         for r in range(1, r_max + 1):
             table = omega_by_convolution(p, r)
             deg = r * (p - 1)
@@ -160,13 +160,13 @@ def check_omega_identities(r_max: int = 12, p_list: tuple[int, ...] = (2, 3, 5, 
                         return _fail(name, f"p={p} r={r} m={m}: ratio bound fails")
                     if (lhs == rhs) != (m == 1):
                         return _fail(name, f"p={p} r={r} m={m}: ratio equality pattern broken")
-    return _ok(name, f"all identities hold for p in {p_list}, r <= {r_max}")
+    return _ok(name, f"all identities hold for p in {SUITE_PRIMES}, r <= {r_max}")
 
 
 def check_inequality_ledger(r_max: int = 30, t_max: int = 15) -> CheckResult:
     """Criterion 4: binomial inequality families with exact equality cases."""
     name = "inequality-ledger"
-    report = omega.check_inequality_suite(r_max, (2, 3, 5, 7), t_max=t_max)
+    report = omega.check_inequality_suite(r_max, t_max=t_max)
     violations = report.discipline_violations()
     if violations:
         return _fail(name, "; ".join(violations))

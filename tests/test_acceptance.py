@@ -53,7 +53,7 @@ def test_criterion_4_inequality_ledger(capsys):
     equality only at r in {1, 2}."""
     start = time.monotonic()
     result = selfcheck.check_inequality_ledger(r_max=30, t_max=15)
-    suite = check_inequality_suite(30, (2, 3, 5, 7), t_max=15)
+    suite = check_inequality_suite(30, t_max=15)
     rows = {r.params[0]: r for r in suite.family("hrk_threshold")}
     ok = (
         result.ok

@@ -288,6 +288,16 @@ class TestFiltration:
         assert not prof.contains(3, x)
         assert prof.contains(0, GroupRingElement.delta(g, 2, 0))
 
+    def test_negative_k_is_refused(self):
+        # k = -1 must not read the last level basis, which holds only 0 here
+        g = make_cyclic(4)
+        prof = filtration_profile(2, g)
+        e = GroupRingElement.delta(g, 2, 0)
+        assert prof.contains(0, e)
+        for ask in (prof.contains, lambda k, _: prof.lambda_at(k), lambda k, _: prof.delta_dim_at(k)):
+            with pytest.raises(ValueError, match="k must be non-negative"):
+                ask(-1, e)
+
     def test_k_max_truncation(self):
         prof = filtration_profile(2, make_cyclic(4), k_max=2)
         assert prof.delta_dims == (4, 3, 2)
@@ -717,14 +727,18 @@ class TestWalk:
                 mask = group._walk(seed)[0]
                 assert set(np.flatnonzero(mask).tolist()) == product_fixpoint(group, seed), name
 
-    def test_homomorphism_image_is_a_sorted_read_only_array(self):
+    def test_homomorphism_position_numbers_the_image_read_only(self):
         from hcc.covers import Homomorphism
         from hcc.presentations import parse_presentation
 
         pres = parse_presentation("< a, b | a b a^-1 b^-1 >")
         group = relabelled(make_product(make_cyclic(4), make_cyclic(2)), np.random.default_rng(5))
         for images in ([0, 0], [1, 1], [3, 6], [5, 2]):
-            image = Homomorphism(pres, group, images).image
-            assert image.tolist() == set_closure(group, images)
+            hom = Homomorphism(pres, group, images)
+            position = hom.position
+            # -1 exactly off the image; on it, each element's index in cosets
+            assert np.flatnonzero(position >= 0).tolist() == set_closure(group, images)
+            assert [position[x] for x in hom.cosets] == list(range(hom.image_order))
+            assert hom.image_order == len(set_closure(group, images))
             with pytest.raises(ValueError):
-                image[0] = 1
+                position[0] = 1

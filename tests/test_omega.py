@@ -179,7 +179,7 @@ class TestPi:
 
 class TestSuite:
     def test_no_violations(self):
-        report = check_inequality_suite(30, (2, 3, 5, 7), t_max=15)
+        report = check_inequality_suite(30, t_max=15)
         assert report.discipline_violations() == ()
 
     def test_threshold_family_truth_values(self):
