@@ -310,9 +310,9 @@ def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="hcc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, group_flags=False):
+    def add_common(sp, group_flags=False, formats=("json",)):  # TSV only where the output is a table
         sp.add_argument("--p", type=int, required=True, help="coefficient prime")
-        sp.add_argument("--format", choices=("json", "tsv"), default="json")
+        sp.add_argument("--format", choices=formats, default="json")
         if group_flags:
             sp.add_argument("--r", type=int, help="elementary abelian target (Z_p)^r")
             sp.add_argument("--cyclic", type=int, help="cyclic target Z_n")
@@ -326,7 +326,7 @@ def _build_parser() -> _ArgumentParser:
     sp.set_defaults(func=_cmd_omega)
 
     sp = sub.add_parser("ring", help="filtration profile of a finite group")
-    add_common(sp, group_flags=True)
+    add_common(sp, group_flags=True, formats=("json", "tsv"))
     sp.add_argument("--k-max", type=int, default=None)
     sp.set_defaults(func=_cmd_ring)
 

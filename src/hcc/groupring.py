@@ -28,6 +28,9 @@ multiplication table alone:
 Membership in a power reads per-level echelon bases from the second path.
 They are built on the first ``FiltrationProfile.contains`` call for a
 (p, table) pair.
+
+``make_elementary_abelian`` and ``make_cyclic`` build their tables with array
+operations alone, and their groups' names and tuples on first read.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from __future__ import annotations
 import hashlib
 import weakref
 from dataclasses import dataclass, replace
-from itertools import product as _iterproduct
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -71,9 +74,12 @@ class OrderedGroup:
     ``b``.  Construction validates the table: an identity must exist,
     every row and column must be a permutation, and associativity is
     checked with Light's test against a greedily chosen generating set.
-    ``make_cyclic`` and ``make_elementary_abelian`` skip the check: their
-    tables are groups by construction, with the identity first, and they
-    pass the inverses as ``_inverses``.
+    ``make_cyclic`` and ``make_elementary_abelian`` skip the check and the
+    entry-range check: their tables are groups by construction, with the
+    identity first, and they pass the inverses as ``_inverses``.  Unless
+    names are given, ``element_names`` (default "0", "1", ...), ``ea_tuples``
+    (the (Z_p)^r coordinates passed as ``_coords``, else None) and
+    ``ea_index`` (tuple to index) are built on first read.
     """
 
     def __init__(
@@ -81,7 +87,7 @@ class OrderedGroup:
         mult: Sequence[Sequence[int]] | np.ndarray,
         label: str = "",
         element_names: Sequence[str] | None = None,
-        ea_tuples: Sequence[tuple[int, ...]] | None = None,
+        _coords: np.ndarray | None = None,
         _inverses: np.ndarray | None = None,
     ):
         table = np.asarray(mult, dtype=np.int64)
@@ -91,21 +97,19 @@ class OrderedGroup:
         if n == 0:
             raise GroupValidationError("a group has at least one element")
         check_entry_count(n * n, "multiplication table")
-        if table.min() < 0 or table.max() >= n:
-            raise GroupValidationError("table entries must be element indices")
         self.mult = table
         self.label = label or f"group{n}"
-        self.element_names = tuple(element_names) if element_names else tuple(str(i) for i in range(n))
-        if len(self.element_names) != n:
-            raise GroupValidationError("need one element name per element")
-        self.ea_tuples = tuple(ea_tuples) if ea_tuples is not None else None
-        self.ea_index = (
-            {t: i for i, t in enumerate(self.ea_tuples)} if self.ea_tuples is not None else None
-        )
+        if element_names:
+            self.element_names = tuple(element_names)
+            if len(self.element_names) != n:
+                raise GroupValidationError("need one element name per element")
+        self._coords = _coords
         self._gens: tuple[int, ...] | None = None
         self._hash: str | None = None
         self._ea: tuple[int, ...] | None = None
         if _inverses is None:
+            if table.min() < 0 or table.max() >= n:
+                raise GroupValidationError("table entries must be element indices")
             self.identity_index = self._find_identity()
             self._validate()
             self.inverse_table = np.argmax(table == self.identity_index, axis=1)
@@ -116,6 +120,23 @@ class OrderedGroup:
     @property
     def size(self) -> int:
         return int(self.mult.shape[0])
+
+    @cached_property
+    def element_names(self) -> tuple[str, ...]:
+        if self.ea_tuples is None:
+            return tuple(map(str, range(self.size)))
+        return tuple(
+            "+".join(f"{c}e{i + 1}" if c > 1 else f"e{i + 1}" for i, c in enumerate(t) if c) or "0"
+            for t in self.ea_tuples
+        )
+
+    @cached_property
+    def ea_tuples(self) -> tuple[tuple[int, ...], ...] | None:
+        return None if self._coords is None else tuple(map(tuple, self._coords.tolist()))
+
+    @cached_property
+    def ea_index(self) -> dict[tuple[int, ...], int] | None:
+        return None if self.ea_tuples is None else {t: i for i, t in enumerate(self.ea_tuples)}
 
     def _find_identity(self) -> int:
         n = self.size
@@ -228,41 +249,35 @@ def make_elementary_abelian(p: int, r: int) -> OrderedGroup:
     The identity comes first, then e_1 < e_2 < ... < e_r, then the
     weight-two elements e_1+e_2 < e_1+e_3 < ..., and so on; within a
     weight class, elements supported on earlier generators come first.
+    The order is one ``lexsort`` of the base-p codes and the table is
+    composed on codes, so no step loops over the elements in Python; the
+    names and coordinate tuples are built on first read.
     """
     check_prime(p)
     if r < 1:
         raise ValueError("r must be at least 1")
     check_power_count(p, 2 * r, "multiplication table")  # before p**r is computed
     n = p**r
-    tuples = sorted(_iterproduct(range(p), repeat=r), key=lambda t: (sum(t), tuple(-c for c in t)))
-    radix = np.array([p ** (r - 1 - i) for i in range(r)], dtype=np.int64)
-    coords = np.array(tuples, dtype=np.int64)
-    codes = coords @ radix  # base-p code of each element
+    radix = p ** np.arange(r - 1, -1, -1, dtype=np.int64)
+    digits = np.arange(n, dtype=np.int64)[:, None] // radix % p  # the coordinates of each base-p code
+    # by weight, then by coordinates descending, which is by code descending
+    codes = np.lexsort((-np.arange(n), digits.sum(axis=1)))
     index_of_code = np.empty(n, dtype=np.int64)
     index_of_code[codes] = np.arange(n)
-    # the addition table of the codes, one base-p digit at a time: in
-    # (Z_p)^(k+1), (x p + a) + (y p + b) = (x + y) p + (a + b)
-    digit = np.add.outer(np.arange(p), np.arange(p)) % p
-    code_table = digit
-    for _ in range(r - 1):
-        m = code_table.shape[0] * p
-        code_table = (code_table[:, None, :, None] * p + digit[None, :, None, :]).reshape(m, m)
-    np.take(index_of_code, code_table, out=code_table)  # codes to element indices
-    table = code_table[np.ix_(codes, codes)]
+    if p == 2:  # XOR adds base-2 codes digit by digit
+        table = index_of_code[codes[:, None] ^ codes[None, :]]
+    else:
+        # the addition table of the codes, one base-p digit at a time: in
+        # (Z_p)^(k+1), (x p + a) + (y p + b) = (x + y) p + (a + b)
+        digit = np.add.outer(np.arange(p), np.arange(p)) % p
+        code_table = digit
+        for _ in range(r - 1):
+            m = code_table.shape[0] * p
+            code_table = (code_table[:, None, :, None] * p + digit[None, :, None, :]).reshape(m, m)
+        table = index_of_code[code_table[np.ix_(codes, codes)]]
+    coords = digits[codes]
     inverses = index_of_code[-coords % p @ radix]
-    names = []
-    for t in tuples:
-        if sum(t) == 0:
-            names.append("0")
-        else:
-            names.append("+".join(f"{c}e{i + 1}" if c > 1 else f"e{i + 1}" for i, c in enumerate(t) if c))
-    return OrderedGroup(
-        table,
-        label=f"(Z{p})^{r}",
-        element_names=names,
-        ea_tuples=tuples,
-        _inverses=inverses,
-    )
+    return OrderedGroup(table, label=f"(Z{p})^{r}", _coords=coords, _inverses=inverses)
 
 
 def make_cyclic(n: int) -> OrderedGroup:
@@ -272,8 +287,7 @@ def make_cyclic(n: int) -> OrderedGroup:
     check_entry_count(n * n, "multiplication table")
     idx = np.arange(n, dtype=np.int64)
     table = (idx[:, None] + idx[None, :]) % n
-    names = [str(i) for i in range(n)]
-    return OrderedGroup(table, label=f"Z{n}", element_names=names, _inverses=-idx % n)
+    return OrderedGroup(table, label=f"Z{n}", _inverses=-idx % n)
 
 
 def make_product(a: OrderedGroup, b: OrderedGroup) -> OrderedGroup:

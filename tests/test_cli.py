@@ -256,6 +256,36 @@ class TestIterate:
         assert payload["reason"].startswith("multiplication table needs at least 10^4300 entries, above the cap of")
 
 
+class TestFormatChoices:
+    # present, cover, bounds and iterate print JSON only; omega and ring also print TSV tables
+    @pytest.fixture()
+    def argvs(self, torus_files):
+        pres, hom = torus_files
+        return {
+            "present": ["present", "--pres", pres, "--p", "2"],
+            "cover": ["cover", "--pres", pres, "--hom", hom, "--p", "2", "--r", "2"],
+            "bounds": ["bounds", "--b1", "2", "--d", "1", "--p", "2", "--r", "2"],
+            "iterate": ["iterate", "--pres", pres, "--p", "2", "--steps", "1"],
+        }
+
+    @pytest.mark.parametrize("command", ["present", "cover", "bounds", "iterate"])
+    def test_tsv_is_refused(self, argvs, command, capsys):
+        code, out, err = run_cli([*argvs[command], "--format", "tsv"], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith(f"hcc {command}: error: argument --format: invalid choice: 'tsv'")
+
+    @pytest.mark.parametrize("command", ["present", "cover", "bounds", "iterate"])
+    def test_json_is_the_default(self, argvs, command, capsys):
+        code, out, _ = run_cli([*argvs[command], "--format", "json"], capsys)
+        assert code == 0 and json.loads(out)
+        assert run_cli(argvs[command], capsys) == (0, out, "")
+
+    @pytest.mark.parametrize("argv", [["omega", "--p", "2", "--r", "2"], ["ring", "--p", "2", "--r", "2"]])
+    def test_tables_keep_tsv(self, argv, capsys):
+        code, out, _ = run_cli([*argv, "--format", "tsv"], capsys)
+        assert code == 0 and "\t" in out.splitlines()[0]
+
+
 class TestMatrixCapVariable:
     # HCC_MATRIX_CAP is read once per process, so each value gets its own
     def run_hcc(self, cap, argv, **kwargs):

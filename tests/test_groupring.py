@@ -1,10 +1,11 @@
 import dataclasses
 import gc
+import hashlib
 import json
 import time
 import tracemalloc
 import weakref
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -86,6 +87,71 @@ class TestConstructors:
             assert g.identity_index == checked.identity_index == 0, g.label
             assert np.array_equal(g.inverse_table, checked.inverse_table), g.label
             assert not g.mult.flags.writeable
+
+    @staticmethod
+    def assert_group_matches(g, label, mult, inverses, names, tuples, gens, ea_type):
+        n = len(names)
+        assert g.label == label and g.size == n and g.identity_index == 0
+        assert np.array_equal(g.mult, mult) and g.mult.dtype == np.int64, label
+        assert not g.mult.flags.writeable
+        assert np.array_equal(g.inverse_table, inverses), label
+        assert g.element_names == names, label
+        assert g.ea_tuples == tuples, label
+        assert g.ea_index == (None if tuples is None else {t: i for i, t in enumerate(tuples)}), label
+        digest = hashlib.sha256(str(n).encode() + np.ascontiguousarray(mult, dtype=np.int64).tobytes())
+        assert g.table_hash == digest.hexdigest(), label
+        assert g.generating_set() == gens, label
+        assert g.is_elementary_abelian() == ea_type, label
+        for attr in ("element_names", "ea_tuples", "ea_index"):  # built once, then the same object
+            assert getattr(g, attr) is getattr(g, attr), (label, attr)
+
+    def test_elementary_abelian_matches_the_coordinate_oracle(self):
+        # the weight order by sorting tuples, the table as coordinate addition
+        # mod p, and each name spelled from its tuple
+        for p in (2, 3, 5, 7, 11):
+            r = 1
+            while p**r <= 1024:
+                tuples = sorted(product(range(p), repeat=r), key=lambda t: (sum(t), tuple(-c for c in t)))
+                position = {t: i for i, t in enumerate(tuples)}
+                radix = [p ** (r - 1 - k) for k in range(r)]
+                index_of_code = np.empty(p**r, dtype=np.int64)
+                index_of_code[[sum(c * w for c, w in zip(t, radix)) for t in tuples]] = np.arange(p**r)
+                coords = np.array(tuples, dtype=np.int64)
+                sum_codes = sum((coords[:, None, k] + coords[None, :, k]) % p * radix[k] for k in range(r))
+                names = tuple(
+                    "+".join(f"{c}e{i + 1}" if c > 1 else f"e{i + 1}" for i, c in enumerate(t) if c) if any(t) else "0"
+                    for t in tuples
+                )
+                inverses = [position[tuple(-c % p for c in t)] for t in tuples]
+                self.assert_group_matches(
+                    make_elementary_abelian(p, r), f"(Z{p})^{r}", index_of_code[sum_codes], inverses,
+                    names, tuple(tuples), tuple(range(1, r + 1)), (p, r),
+                )
+                r += 1
+
+    def test_cyclic_matches_the_residue_oracle(self):
+        for n in range(1, 257):
+            idx = np.arange(n)
+            prime = n > 1 and all(n % d for d in range(2, n))
+            self.assert_group_matches(
+                make_cyclic(n), f"Z{n}", (idx[:, None] + idx[None, :]) % n, -idx % n,
+                tuple(str(i) for i in range(n)), None, (1,) if n > 1 else (), (n, 1) if prime else None,
+            )
+
+    def test_profile_builds_no_element_data(self):
+        # ring and bounds read only the table: the per-element tuples and
+        # names of a built group stay unbuilt through a profile
+        g = make_elementary_abelian(2, 9)
+        assert filtration_profile(2, g).delta_dims[:3] == (512, 511, 502)
+        assert filtration_profile(2, make_cyclic(8)).nilpotent
+        assert not {"element_names", "ea_tuples", "ea_index"} & set(vars(g))
+        assert "element_names" in vars(make_product(make_cyclic(2), make_cyclic(3)))
+
+    def test_table_entries_must_be_indices(self):
+        with pytest.raises(GroupValidationError, match="^table entries must be element indices$"):
+            OrderedGroup([[0, 2], [2, 0]])
+        with pytest.raises(GroupValidationError, match="^need one element name per element$"):
+            OrderedGroup([[0, 1], [1, 0]], element_names=["a"])
 
     def test_cyclic_trivial(self):
         g = make_cyclic(1)
