@@ -26,8 +26,8 @@ multiplication table alone:
   ``delta_g - delta_e`` factors and row-reduces.
 
 Membership in a power reads per-level echelon bases from the second path.
-They are built on the first ``FiltrationProfile.contains`` call for a
-(p, table) pair.
+They are built on a profile's first ``FiltrationProfile.contains`` call and
+kept on that profile alone, so they are freed with it.
 
 ``make_elementary_abelian`` and ``make_cyclic`` build their tables with array
 operations alone, and their groups' names and tuples on first read.
@@ -39,7 +39,7 @@ import hashlib
 import weakref
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -462,9 +462,10 @@ class FiltrationProfile:
     powers are nested, so equal dimensions there mean equal subspaces and
     the filtration is constant afterwards.  ``nilpotent`` records whether
     the dimensions reach 0.  The module docstring says which path computes
-    them; ``contains`` reads echelon bases built on its first call.  A
-    ``k_max`` window that ends before ``stabilization_k`` refuses
-    ``lambda_at`` and ``delta_dim_at`` beyond it.
+    them; ``contains`` reads echelon bases that its first call builds and
+    the profile keeps (``_bases``), so they are freed with it.  A ``k_max``
+    window that ends before ``stabilization_k`` refuses ``lambda_at`` and
+    ``delta_dim_at`` beyond it.
     """
 
     p: int
@@ -498,8 +499,7 @@ class FiltrationProfile:
             raise ValueError("k must be non-negative")
         if v.group.table_hash != self.group.table_hash or v.p != self.p:
             raise ValueError("element does not live in this profile's group ring")
-        bases = _level_bases(self.p, self.group)
-        basis, pivots = bases[min(k, len(bases) - 1)]
+        basis, pivots = self._bases[min(k, len(self._bases) - 1)]
         vec = v.coeffs.copy()
         for row, c in zip(basis, pivots):
             f = int(vec[c])
@@ -507,47 +507,40 @@ class FiltrationProfile:
                 vec = (vec - f * row) % self.p
         return not vec.any()
 
+    @cached_property
+    def _bases(self) -> tuple[tuple[np.ndarray, tuple[int, ...]], ...]:
+        return tuple(_level_bases(self.p, self.group))
+
 
 _PROFILE_CACHE: dict[tuple[int, str], tuple[tuple[int, ...], weakref.ref]] = {}  # dims, last profile
-_BASES_CACHE: dict[tuple[int, str], tuple[tuple[np.ndarray, tuple[int, ...]], ...]] = {}
 
 
-def _level_bases(p: int, group: OrderedGroup) -> tuple[tuple[np.ndarray, tuple[int, ...]], ...]:
+def _level_bases(p: int, group: OrderedGroup) -> Iterator[tuple[np.ndarray, tuple[int, ...]]]:
     """Echelon basis and pivots of each power of the augmentation ideal, by
-    elimination, up to the first zero or repeated dimension; cached per
-    (p, multiplication table)."""
-    key = (p, group.table_hash)
-    if key in _BASES_CACHE:
-        return _BASES_CACHE[key]
+    elimination, yielded as each level is built, up to the first zero or
+    repeated dimension (dimensions strictly decrease until then, so there
+    are at most |H| + 1 levels).  Each basis owns its rows."""
     n = group.size
     gens = group.generating_set()
-    eye = np.eye(n, dtype=np.int64)
-    dims = [n]
-    bases: list[tuple[np.ndarray, tuple[int, ...]]] = [(eye, tuple(range(n)))]
-    current = eye
+    current = np.eye(n, dtype=np.int64)
+    yield current, tuple(range(n))
     while True:
         # span of the next power: b * (delta_s - delta_e) over basis rows b
         # and group generators s (products over a generating set span the
         # same subspace as products over the whole group)
-        blocks = []
-        for s in gens:
-            perm = group.mult[:, s]
-            shifted = np.empty_like(current)
-            shifted[:, perm] = current
-            blocks.append((shifted - current) % p)
-        stack = np.vstack(blocks) if blocks else np.zeros((0, n), dtype=np.int64)
+        stack = np.empty((len(gens), len(current), n), dtype=np.int64)
+        for i, s in enumerate(gens):
+            stack[i][:, group.mult[:, s]] = current
+        stack -= current
+        stack %= p
+        stack = stack.reshape(-1, n)
         pivots = fpexact._echelon(stack, p)
-        dim = len(pivots)
-        basis = np.ascontiguousarray(stack[:dim])
-        dims.append(dim)
-        bases.append((basis, tuple(pivots)))
-        if dim == 0 or dim == dims[-2]:
-            break
+        basis = stack[: len(pivots)].copy()
+        del stack  # with the indexed loop above, nothing holds this stack while the next is built
+        yield basis, tuple(pivots)
+        if len(basis) in (0, len(current)):
+            return
         current = basis
-        if len(dims) > n + 1:  # cannot happen: dims strictly decrease until stable
-            raise RuntimeError("filtration failed to stabilize")
-    _BASES_CACHE[key] = tuple(bases)
-    return _BASES_CACHE[key]
 
 
 def _jennings_dims(p: int, group: OrderedGroup) -> list[int] | None:

@@ -109,10 +109,6 @@ class Partition:
     parts: tuple[tuple[int, int], ...]
 
     @property
-    def total(self) -> int:
-        return sum(n * l for n, l in self.parts)
-
-    @property
     def size(self) -> int:
         """Number of parts counted with multiplicity."""
         return sum(l for _, l in self.parts)
@@ -124,15 +120,7 @@ class Partition:
             out *= math.factorial(l)
         return out
 
-    @property
-    def part_factorial_product(self) -> int:
-        out = 1
-        for n, l in self.parts:
-            out *= math.factorial(n) ** l
-        return out
 
-
-@lru_cache(maxsize=4096)
 def partitions_bounded(m: int, max_part: int) -> tuple[Partition, ...]:
     """All partitions of m into parts in [1, max_part], in lexicographic
     order of the non-decreasing part sequence."""

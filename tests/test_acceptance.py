@@ -129,8 +129,7 @@ def test_criterion_9_falsification_discipline(capsys, monkeypatch):
     injected = selfcheck.CheckResult(
         "injected-violation", False, 'instance: {"hrk": 3, "threshold": 4}'
     )
-    real_run_all = selfcheck.run_all
-    monkeypatch.setattr(selfcheck, "run_all", lambda: real_run_all()[:1] + [injected])
+    monkeypatch.setattr(selfcheck, "run_all", lambda: [selfcheck.ALL_CHECKS[0](), injected])
     code_bad = cli.main(["selfcheck"])
     out_bad = capsys.readouterr().out
     ok = (

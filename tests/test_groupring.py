@@ -595,7 +595,6 @@ def elimination_calls(monkeypatch):
         return level_bases(p, group)
 
     monkeypatch.setattr(groupring, "_PROFILE_CACHE", {})
-    monkeypatch.setattr(groupring, "_BASES_CACHE", {})
     monkeypatch.setattr(groupring, "_level_bases", counted)
     return calls
 
@@ -660,6 +659,42 @@ def test_groups_not_nilpotent_at_p_take_the_fallback(elimination_calls, name, p)
     prof = filtration_profile(p, group)
     assert elimination_calls == [(p, group.size)]
     assert_eliminated_profile(prof, p, group)
+
+
+def test_contains_bases_are_freed_with_the_profile():
+    # S3 x (Z2)^3 takes elimination at p = 3; only the profile keeps its bases
+    tracemalloc.start()
+    try:
+        group = make_product(PROFILE_GROUPS["S3"], make_elementary_abelian(2, 3))
+        prof = filtration_profile(3, group)
+        x = GroupRingElement.delta(group, 3, 1) - GroupRingElement.delta(group, 3, 0)
+        assert prof.contains(1, x)
+        del prof, x, group
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 16 << 10, held
+
+
+def test_contains_builds_the_bases_once_per_profile(elimination_calls):
+    s3, ea = PROFILE_GROUPS["S3"], make_elementary_abelian(2, 3)
+    for p, group, dims_calls in ((3, s3, [(3, 6)]), (2, ea, [])):
+        prof = filtration_profile(p, group)
+        assert elimination_calls == dims_calls
+        x = GroupRingElement.delta(group, p, 1) - GroupRingElement.delta(group, p, 0)
+        assert prof.contains(0, x) and prof.contains(1, x)
+        assert filtration_profile(p, group) is prof and prof.contains(1, x)
+        assert elimination_calls == dims_calls + [(p, group.size)]
+        elimination_calls.clear()
+
+
+def test_level_bases_own_their_rows():
+    for p, group in ((3, PROFILE_GROUPS["S3"]), (2, PROFILE_GROUPS["A4"]), (2, make_elementary_abelian(2, 3))):
+        levels = list(groupring._level_bases(p, group))
+        assert len(levels) > 2
+        for basis, pivots in levels:
+            assert basis.base is None and basis.shape == (len(pivots), group.size)
 
 
 def test_cyclic_1024_is_uniserial_and_fast(capsys):
