@@ -67,13 +67,13 @@ class Homomorphism:
     """Generator images defining a map from the presented group to a finite group.
 
     Compatibility (every relator maps to the identity) is enforced at
-    construction.  ``letter_action[s][j]`` is the list ``group.mult[:, h]``
-    for h the image of a_j^s (s = +-1): entry x is x h, so every word walk
-    steps one letter by one list lookup.  One breadth-first search, positive
-    letters first, walks the image and is its Schreier transversal: ``cosets``
-    in the order reached, ``position`` each element's index in ``cosets`` (-1
-    off the image; read-only), and ``schreier_generators`` the (coset, j) pairs
-    off its tree, coset-major.
+    construction.  ``letter_action[s][j]`` is the list of the products x h
+    over every element x, from one ``group.op`` call, for h the image of
+    a_j^s (s = +-1), so every word walk steps one letter by one list lookup.
+    One breadth-first search, positive letters first, walks the image and is
+    its Schreier transversal: ``cosets`` in the order reached, ``position``
+    each element's index in ``cosets`` (-1 off the image; read-only), and
+    ``schreier_generators`` the (coset, j) pairs off its tree, coset-major.
     """
 
     __slots__ = ("source", "group", "images", "letter_action", "cosets", "position", "schreier_generators")
@@ -88,8 +88,8 @@ class Homomorphism:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "images", images)
-        inverses = [group.inverse(h) for h in images]
-        column = {h: group.mult[:, h].tolist() for h in {*images, *inverses}}  # one list per element
+        inverses, idx = [group.inverse(h) for h in images], np.arange(group.size)
+        column = {h: group.op(idx, h).tolist() for h in {*images, *inverses}}  # one list per element
         object.__setattr__(self, "letter_action", {
             1: tuple(column[h] for h in images), -1: tuple(column[h] for h in inverses)
         })
@@ -263,7 +263,7 @@ def build_cover(pres: Presentation, hom: Homomorphism, p: int) -> CoverComplex:
     # every block a copy of the one over K, whose entry ((i, y), (j, x)) is
     # seed[i, j, y^-1 x]; ldiv[y, x] is the position of y^-1 x in K.
     K, k = np.array(hom.cosets), hom.image_order  # the image, in the transversal's order
-    ldiv = hom.position[group.mult[group.inverse_table[K][:, None], K]]
+    ldiv = hom.position[group.op(group.inverse(K)[:, None], K)]
     seeds_k = seeds[:, :, K]
     # Each row of d2 is a 1-cycle, as d2 @ d1 = 0, and a cycle with no part off a
     # spanning tree is zero, so the block's columns (j, c) off the tree have its

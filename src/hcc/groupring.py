@@ -2,8 +2,10 @@
 
 An ordered group is a finite group whose elements are identified with the
 indices ``0..n-1`` of its multiplication table; the total order on the
-group is the index order.  Group-ring elements are length-``n``
-coefficient vectors over F_p indexed that way, multiplied by convolution.
+group is the index order.  Outside ``OrderedGroup`` (and ``make_product``)
+it is read only through ``op`` and ``inverse``, which broadcast over index
+arrays.  Group-ring elements are length-``n`` coefficient vectors over F_p
+indexed that way, multiplied by convolution.
 Subgroups (``generating_set``, the dimension subgroups below) all come
 from one greedy walk, ``OrderedGroup._walk``.
 
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import hashlib
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -71,9 +73,11 @@ class OrderedGroup:
     """A finite group with elements indexed 0..n-1 by a fixed total order.
 
     ``mult[a, b]`` is the index of the product of elements ``a`` and
-    ``b``.  Construction validates the table: an identity must exist,
-    every row and column must be a permutation, and associativity is
-    checked with Light's test against a greedily chosen generating set.
+    ``b``; the interface is ``op`` and ``inverse``, which broadcast over
+    index arrays as numpy does.  Construction validates the table: an
+    identity must exist, every row and column must be a permutation, and
+    associativity is checked with Light's test against a greedily chosen
+    generating set.
     ``make_cyclic`` and ``make_elementary_abelian`` skip the check and the
     entry-range check: their tables are groups by construction, with the
     identity first, and they pass the inverses as ``_inverses``.  Unless
@@ -104,9 +108,6 @@ class OrderedGroup:
             if len(self.element_names) != n:
                 raise GroupValidationError("need one element name per element")
         self._coords = _coords
-        self._gens: tuple[int, ...] | None = None
-        self._hash: str | None = None
-        self._ea: tuple[int, ...] | None = None
         if _inverses is None:
             if table.min() < 0 or table.max() >= n:
                 raise GroupValidationError("table entries must be element indices")
@@ -160,11 +161,13 @@ class OrderedGroup:
             if not np.array_equal(lhs, rhs):
                 raise GroupValidationError("multiplication table is not associative")
 
-    def op(self, a: int, b: int) -> int:
-        return int(self.mult[a, b])
+    def op(self, a: int | np.ndarray, b: int | np.ndarray) -> int | np.ndarray:
+        """Index of the product a b, broadcast over index arrays; two ints give an int."""
+        return self.mult[a, b] if np.ndim(a) or np.ndim(b) else int(self.mult[a, b])
 
-    def inverse(self, a: int) -> int:
-        return int(self.inverse_table[a])
+    def inverse(self, a: int | np.ndarray) -> int | np.ndarray:
+        """Index of a^-1, elementwise over an index array; an int gives an int."""
+        return self.inverse_table[a] if np.ndim(a) else int(self.inverse_table[a])
 
     def _walk(self, seed: Iterable[int]) -> tuple[np.ndarray, list[int]]:
         """Mask of the subgroup generated by ``seed``, and the seed elements
@@ -193,9 +196,11 @@ class OrderedGroup:
 
     def generating_set(self) -> tuple[int, ...]:
         """Greedy generating set: scan elements in order, keep the new ones."""
-        if self._gens is None:
-            self._gens = tuple(self._walk(range(self.size))[1])
         return self._gens
+
+    @cached_property
+    def _gens(self) -> tuple[int, ...]:
+        return tuple(self._walk(range(self.size))[1])
 
     def power(self, k: int) -> np.ndarray:
         """Index array of g^k for every element g, by square-and-multiply: O(log k) gathers."""
@@ -219,25 +224,23 @@ class OrderedGroup:
         ``power(p)``), so it is independent of the chosen element order,
         and once per group.
         """
-        if self._ea is None:
-            n, self._ea = self.size, ()  # () records "not elementary abelian"
-            if n > 1 and self.is_abelian():
-                p = next(d for d in range(2, n + 1) if n % d == 0)  # the least divisor, so a prime
-                r = 1
-                while p**r < n:
-                    r += 1
-                if p**r == n and (self.power(p) == self.identity_index).all():
-                    self._ea = (p, r)
-        return self._ea or None
+        return self._ea
 
-    @property
+    @cached_property
+    def _ea(self) -> tuple[int, int] | None:
+        n = self.size
+        if n > 1 and self.is_abelian():
+            p = next(d for d in range(2, n + 1) if n % d == 0)  # the least divisor, so a prime
+            r = next(k for k in range(1, n) if p**k >= n)
+            if p**r == n and (self.power(p) == self.identity_index).all():
+                return p, r
+        return None
+
+    @cached_property
     def table_hash(self) -> str:
-        if self._hash is None:
-            h = hashlib.sha256()
-            h.update(str(self.size).encode())
-            h.update(np.ascontiguousarray(self.mult).tobytes())
-            self._hash = h.hexdigest()
-        return self._hash
+        h = hashlib.sha256(str(self.size).encode())
+        h.update(np.ascontiguousarray(self.mult).tobytes())
+        return h.hexdigest()
 
     def __repr__(self) -> str:
         return f"OrderedGroup({self.label}, order {self.size})"
@@ -424,10 +427,10 @@ def ring_mul(u: GroupRingElement, v: GroupRingElement) -> GroupRingElement:
     """Convolution product: (sum k_g d_g) * (sum l_h d_h) = sum k_g l_h d_{gh}."""
     u._check_compatible(v)
     group, p = u.group, u.p
-    out = np.zeros(group.size, dtype=np.int64)
+    out, idx = np.zeros(group.size, dtype=np.int64), np.arange(group.size)
     for g in np.nonzero(u.coeffs)[0]:
-        # row g of the table is a permutation, so fancy += is safe
-        out[group.mult[g]] += int(u.coeffs[g]) * v.coeffs
+        # h -> g h is a permutation, so fancy += is safe
+        out[group.op(g, idx)] += int(u.coeffs[g]) * v.coeffs
     return GroupRingElement(group, p, out % p)
 
 
@@ -464,7 +467,8 @@ class FiltrationProfile:
     the dimensions reach 0.  The module docstring says which path computes
     them; ``contains`` reads echelon bases that its first call builds and
     the profile keeps (``_bases``), so they are freed with it.  A ``k_max``
-    window that ends before ``stabilization_k`` refuses ``lambda_at`` and
+    window reads them through the full profile it was cut from (``_full``),
+    and one that ends before ``stabilization_k`` refuses ``lambda_at`` and
     ``delta_dim_at`` beyond it.
     """
 
@@ -474,6 +478,7 @@ class FiltrationProfile:
     lambdas: tuple[int, ...]
     nilpotent: bool
     stabilization_k: int
+    _full: FiltrationProfile | None = field(default=None, repr=False, compare=False)
 
     def _check_k(self, k: int, known: int) -> None:
         if k < 0:
@@ -509,7 +514,7 @@ class FiltrationProfile:
 
     @cached_property
     def _bases(self) -> tuple[tuple[np.ndarray, tuple[int, ...]], ...]:
-        return tuple(_level_bases(self.p, self.group))
+        return self._full._bases if self._full is not None else tuple(_level_bases(self.p, self.group))
 
 
 _PROFILE_CACHE: dict[tuple[int, str], tuple[tuple[int, ...], weakref.ref]] = {}  # dims, last profile
@@ -521,7 +526,7 @@ def _level_bases(p: int, group: OrderedGroup) -> Iterator[tuple[np.ndarray, tupl
     repeated dimension (dimensions strictly decrease until then, so there
     are at most |H| + 1 levels).  Each basis owns its rows."""
     n = group.size
-    gens = group.generating_set()
+    gens, idx = group.generating_set(), np.arange(n)
     current = np.eye(n, dtype=np.int64)
     yield current, tuple(range(n))
     while True:
@@ -530,7 +535,7 @@ def _level_bases(p: int, group: OrderedGroup) -> Iterator[tuple[np.ndarray, tupl
         # same subspace as products over the whole group)
         stack = np.empty((len(gens), len(current), n), dtype=np.int64)
         for i, s in enumerate(gens):
-            stack[i][:, group.mult[:, s]] = current
+            stack[i][:, group.op(idx, s)] = current
         stack -= current
         stack %= p
         stack = stack.reshape(-1, n)
@@ -548,19 +553,18 @@ def _jennings_dims(p: int, group: OrderedGroup) -> list[int] | None:
     the module docstring) when the group is P x Q; None for any other group.
     |Q| is prime to p, so I_Q = I_Q^2 and F_p[H] = F_p[P] (x) F_p[Q] add
     |P|(|Q| - 1) to each dim I_P^k with k >= 1."""
-    mult, e, n = group.mult, group.identity_index, group.size
+    op, inv, e, n = group.op, group.inverse, group.identity_index, group.size
     p_part = 1
     while n % (p_part * p) == 0:
         p_part *= p
     in_p, in_q, pth = group.power(p_part) == e, group.power(n // p_part) == e, group.power(p)
     ps, qs = np.flatnonzero(in_p), np.flatnonzero(in_q)
-    if len(ps) * len(qs) != n or not (in_p[mult[np.ix_(ps, ps)]].all() and in_q[mult[np.ix_(qs, qs)]].all()):
+    if len(ps) * len(qs) != n or not (in_p[op(ps[:, None], ps)].all() and in_q[op(qs[:, None], qs)].all()):
         return None
 
     # [A, P] for A normal is generated by the [a, s] with s in a generating
     # set of H: [a, xs] = [a, s][a, x][[a, x], s], and Q commutes with P
     gens = np.array(group.generating_set(), dtype=np.int64)
-    inv = group.inverse_table
     series, step = [in_p], {}  # series[k - 1] is the mask of D_k
     while series[-1].sum() > 1:
         k = len(series) + 1
@@ -568,7 +572,7 @@ def _jennings_dims(p: int, group: OrderedGroup) -> list[int] | None:
         key = (prev.tobytes(), lower.tobytes())
         if key not in step:
             a = np.flatnonzero(prev)[:, None]
-            commutators = mult[mult[inv[a], inv[gens]], mult[a, gens]]
+            commutators = op(op(inv(a), inv(gens)), op(a, gens))
             step[key] = group._walk(commutators.ravel().tolist() + pth[lower].tolist())[0]
         series.append(step[key])
     lam = np.ones(1, dtype=np.int64)
@@ -622,5 +626,6 @@ def filtration_profile(p: int, group: OrderedGroup, k_max: int | None = None) ->
         profile = _profile(p, group, dims)
         _PROFILE_CACHE[key] = (dims, weakref.ref(profile))
     if k_max is not None and k_max + 1 < len(profile.delta_dims):
-        return replace(profile, delta_dims=profile.delta_dims[: k_max + 1], lambdas=profile.lambdas[:k_max])
+        dims, lambdas = profile.delta_dims[: k_max + 1], profile.lambdas[:k_max]
+        return replace(profile, delta_dims=dims, lambdas=lambdas, _full=profile)
     return profile

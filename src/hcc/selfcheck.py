@@ -438,7 +438,7 @@ def check_cover_properties(seed: int = 20240811) -> CheckResult:
         perm = rng.permutation(group.size)
         inv = np.empty_like(perm)
         inv[perm] = np.arange(group.size)
-        table = perm[group.mult[inv][:, inv]]
+        table = perm[group.op(inv[:, None], inv)]
         shuffled = groupring.OrderedGroup(table, label=group.label + "-permuted")
         hom2 = Homomorphism(pres, shuffled, [int(perm[x]) for x in hom.images])
         cover2 = build_cover(pres, hom2, p)

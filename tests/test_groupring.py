@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import gc
 import hashlib
@@ -6,6 +7,7 @@ import time
 import tracemalloc
 import weakref
 from itertools import permutations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -689,6 +691,24 @@ def test_contains_builds_the_bases_once_per_profile(elimination_calls):
         elimination_calls.clear()
 
 
+def test_k_max_windows_read_the_bases_of_their_full_profile(elimination_calls):
+    # A4 takes elimination at p = 2, once for the dimensions and once for the bases
+    group = PROFILE_GROUPS["A4"]
+    x = GroupRingElement.delta(group, 2, 1) - GroupRingElement.delta(group, 2, 0)
+    full = filtration_profile(2, group)
+    assert full.contains(1, x)
+    windows = [filtration_profile(2, group, k_max=1) for _ in range(3)]
+    assert all(w.contains(1, x) and w is not full for w in windows)
+    assert elimination_calls == [(2, 12)] * 2
+    del full, windows
+    gc.collect()
+    elimination_calls.clear()
+    # with no full profile held, each window holds the one it was cut from, which stays the last profile
+    windows = [filtration_profile(2, group, k_max=1) for _ in range(3)]
+    assert all(w.contains(1, x) for w in windows)
+    assert elimination_calls == [(2, 12)]
+
+
 def test_level_bases_own_their_rows():
     for p, group in ((3, PROFILE_GROUPS["S3"]), (2, PROFILE_GROUPS["A4"]), (2, make_elementary_abelian(2, 3))):
         levels = list(groupring._level_bases(p, group))
@@ -843,3 +863,43 @@ class TestWalk:
             assert hom.image_order == len(set_closure(group, images))
             with pytest.raises(ValueError):
                 position[0] = 1
+
+
+def interface_groups():
+    """A cyclic, two elementary abelian, a product and a ``.tbl`` group."""
+    return [make_cyclic(6), make_elementary_abelian(2, 3), make_elementary_abelian(3, 2),
+            make_product(PROFILE_GROUPS["S3"], make_cyclic(2)), as_tbl(PROFILE_GROUPS["A4"])]
+
+
+class TestInterface:
+    def test_op_and_inverse_broadcast_as_the_tables(self):
+        for group in interface_groups():
+            idx = np.arange(group.size)
+            assert np.array_equal(group.op(idx[:, None], idx), group.mult), group.label
+            for h in range(group.size):
+                assert np.array_equal(group.op(idx, h), group.mult[:, h]), (group.label, h)
+                assert np.array_equal(group.op(h, idx), group.mult[h]), (group.label, h)
+            assert np.array_equal(group.inverse(idx), group.inverse_table), group.label
+            for a, b in ((0, 0), (group.size - 1, 1), (np.int64(2), np.int64(group.size - 1))):
+                assert type(group.op(a, b)) is int and group.op(a, b) == group.mult[a, b]
+                assert type(group.inverse(a)) is int and group.inverse(a) == group.inverse_table[a]
+
+    def test_no_table_read_outside_the_group(self):
+        # Outside groupring, .mult is only equivariant_block's table; inside it,
+        # only OrderedGroup and make_product read .mult or .inverse_table.
+        def table_reads(tree):
+            return [node for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr in ("mult", "inverse_table")]
+
+        for path in sorted(Path(groupring.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            if path.name == "groupring.py":
+                readers = ("OrderedGroup", "make_product")
+                outside = [stmt for stmt in tree.body if getattr(stmt, "name", None) not in readers]
+                assert not [node.lineno for stmt in outside for node in table_reads(stmt)], path.name
+                continue
+            block_tables = {id(call.args[0]) for call in ast.walk(tree) if isinstance(call, ast.Call) and call.args
+                            and getattr(call.func, "id", getattr(call.func, "attr", None)) == "equivariant_block"}
+            stray = [node.lineno for node in table_reads(tree)
+                     if node.attr == "inverse_table" or id(node) not in block_tables]
+            assert not stray, (path.name, stray)
