@@ -133,12 +133,15 @@ def _cmd_omega(args, out) -> int:
 
 def _cmd_ring(args, out) -> int:
     group = _group_from_args(args, args.p)
-    profile = groupring.filtration_profile(args.p, group, k_max=args.k_max)
+    if args.k_max is not None and args.k_max < 1:
+        fpexact.check_prime(args.p)  # a bad prime is reported first, and no profile is computed
+        raise _InputError("k_max must be at least 1")
+    profile = groupring.filtration_profile(args.p, group)
+    dims, lambdas = profile.delta_dims, profile.lambdas
+    if args.k_max is not None:
+        dims, lambdas = dims[: args.k_max + 1], lambdas[: args.k_max]
     if args.format == "tsv":
-        rows = [
-            [k, dim, profile.lambdas[k] if k < len(profile.lambdas) else ""]
-            for k, dim in enumerate(profile.delta_dims)
-        ]
+        rows = [[k, dim, lambdas[k] if k < len(lambdas) else ""] for k, dim in enumerate(dims)]
         _emit_tsv(["k", "dim", "lambda"], rows, out)
     else:
         _emit_json(
@@ -146,8 +149,8 @@ def _cmd_ring(args, out) -> int:
                 "p": args.p,
                 "group": group.label,
                 "order": group.size,
-                "delta_dims": list(profile.delta_dims),
-                "lambdas": list(profile.lambdas),
+                "delta_dims": list(dims),
+                "lambdas": list(lambdas),
                 "nilpotent": profile.nilpotent,
                 "stabilization_k": profile.stabilization_k,
             },

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import hashlib
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -94,7 +94,10 @@ class OrderedGroup:
         _coords: np.ndarray | None = None,
         _inverses: np.ndarray | None = None,
     ):
-        table = np.asarray(mult, dtype=np.int64)
+        try:
+            table = np.asarray(mult, dtype=np.int64)
+        except OverflowError:  # an entry outside int64 indexes no element
+            raise GroupValidationError("table entries must be element indices") from None
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise GroupValidationError("multiplication table must be square")
         n = table.shape[0]
@@ -466,10 +469,7 @@ class FiltrationProfile:
     the filtration is constant afterwards.  ``nilpotent`` records whether
     the dimensions reach 0.  The module docstring says which path computes
     them; ``contains`` reads echelon bases that its first call builds and
-    the profile keeps (``_bases``), so they are freed with it.  A ``k_max``
-    window reads them through the full profile it was cut from (``_full``),
-    and one that ends before ``stabilization_k`` refuses ``lambda_at`` and
-    ``delta_dim_at`` beyond it.
+    the profile keeps (``_bases``), so they are freed with it.
     """
 
     p: int
@@ -478,24 +478,15 @@ class FiltrationProfile:
     lambdas: tuple[int, ...]
     nilpotent: bool
     stabilization_k: int
-    _full: FiltrationProfile | None = field(default=None, repr=False, compare=False)
-
-    def _check_k(self, k: int, known: int) -> None:
-        if k < 0:
-            raise ValueError("k must be non-negative")
-        last = len(self.delta_dims) - 1
-        if k >= known and last < self.stabilization_k:
-            raise ValueError(
-                f"k = {k} is past this truncated profile, which ends at k = {last} "
-                f"before the filtration stabilizes at k = {self.stabilization_k}"
-            )
 
     def lambda_at(self, k: int) -> int:
-        self._check_k(k, len(self.lambdas))
+        if k < 0:
+            raise ValueError("k must be non-negative")
         return self.lambdas[k] if k < len(self.lambdas) else 0
 
     def delta_dim_at(self, k: int) -> int:
-        self._check_k(k, len(self.delta_dims))
+        if k < 0:
+            raise ValueError("k must be non-negative")
         return self.delta_dims[min(k, len(self.delta_dims) - 1)]
 
     def contains(self, k: int, v: GroupRingElement) -> bool:
@@ -514,7 +505,7 @@ class FiltrationProfile:
 
     @cached_property
     def _bases(self) -> tuple[tuple[np.ndarray, tuple[int, ...]], ...]:
-        return self._full._bases if self._full is not None else tuple(_level_bases(self.p, self.group))
+        return tuple(_level_bases(self.p, self.group))
 
 
 _PROFILE_CACHE: dict[tuple[int, str], tuple[tuple[int, ...], weakref.ref]] = {}  # dims, last profile
@@ -601,7 +592,7 @@ def _profile(p: int, group: OrderedGroup, dims: Sequence[int]) -> FiltrationProf
     )
 
 
-def filtration_profile(p: int, group: OrderedGroup, k_max: int | None = None) -> FiltrationProfile:
+def filtration_profile(p: int, group: OrderedGroup) -> FiltrationProfile:
     """Filtration profile of F_p[group], its dimensions cached per (p,
     multiplication table).  The profile carries the caller's group, and the
     cache holds it only weakly: no group outlives its callers, and a caller
@@ -610,13 +601,10 @@ def filtration_profile(p: int, group: OrderedGroup, k_max: int | None = None) ->
     The dimensions come from the Jennings series when the group is the
     direct product of its p-elements and its p'-elements, and from
     elimination otherwise; the table alone decides.  The filtration always
-    stabilizes within ``|group|`` steps, so the full profile is computed
-    once; ``k_max`` (default ``|group|``) truncates the reported dimension
-    and jump sequences.
+    stabilizes within ``|group|`` steps, so the profile holds every level
+    up to ``stabilization_k``.
     """
     check_prime(p)
-    if k_max is not None and k_max < 1:
-        raise ValueError("k_max must be at least 1")
     key = (p, group.table_hash)
     dims, last = _PROFILE_CACHE.get(key, (None, None))
     profile = last() if last else None
@@ -625,7 +613,4 @@ def filtration_profile(p: int, group: OrderedGroup, k_max: int | None = None) ->
             dims = tuple(_jennings_dims(p, group) or (len(pivots) for _, pivots in _level_bases(p, group)))
         profile = _profile(p, group, dims)
         _PROFILE_CACHE[key] = (dims, weakref.ref(profile))
-    if k_max is not None and k_max + 1 < len(profile.delta_dims):
-        dims, lambdas = profile.delta_dims[: k_max + 1], profile.lambdas[:k_max]
-        return replace(profile, delta_dims=dims, lambdas=lambdas, _full=profile)
     return profile

@@ -22,13 +22,11 @@ __all__ = [
     "InequalityRow",
     "InequalitySuiteReport",
     "OmegaTable",
-    "Partition",
     "SUITE_PRIMES",
     "check_inequality_suite",
     "omega_by_alternating_sum",
     "omega_by_convolution",
     "omega_by_partitions",
-    "partitions_bounded",
     "pi_value",
 ]
 
@@ -101,57 +99,12 @@ def omega_by_alternating_sum(p: int, r: int, k: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class Partition:
-    """A partition into bounded parts, stored as (part, multiplicity) runs
-    with strictly increasing parts."""
-
-    parts: tuple[tuple[int, int], ...]
-
-    @property
-    def size(self) -> int:
-        """Number of parts counted with multiplicity."""
-        return sum(l for _, l in self.parts)
-
-    @property
-    def multiplicity_factorial(self) -> int:
-        out = 1
-        for _, l in self.parts:
-            out *= math.factorial(l)
-        return out
-
-
-def partitions_bounded(m: int, max_part: int) -> tuple[Partition, ...]:
-    """All partitions of m into parts in [1, max_part], in lexicographic
-    order of the non-decreasing part sequence."""
-    if m < 0:
-        raise ValueError("m must be non-negative")
-
-    def seqs(remaining: int, lo: int):
-        if remaining == 0:
-            yield ()
-            return
-        for n in range(lo, min(max_part, remaining) + 1):
-            for rest in seqs(remaining - n, n):
-                yield (n,) + rest
-
-    out = []
-    for seq in seqs(m, 1):
-        runs = []
-        for n in seq:
-            if runs and runs[-1][0] == n:
-                runs[-1][1] += 1
-            else:
-                runs.append([n, 1])
-        out.append(Partition(parts=tuple((n, l) for n, l in runs)))
-    return tuple(out)
-
-
 def omega_by_partitions(p: int, r: int, m: int) -> int:
     """Coefficient of x^m as a sum over partitions of m into parts <= p-1.
 
-    Each partition contributes the number of ways to place its parts into
-    r distinct coordinates.  Only derived for 1 <= m <= r; other m is a
+    A partition with l parts, the i-th distinct part taken m_i times,
+    contributes r!/(r-l)! / prod m_i!: the ways to place its parts into r
+    distinct coordinates.  Only derived for 1 <= m <= r; other m is a
     range error rather than 0.
     """
     check_prime(p)
@@ -159,15 +112,24 @@ def omega_by_partitions(p: int, r: int, m: int) -> int:
         raise ValueError("r must be at least 1")
     if not 1 <= m <= r:
         raise ValueError(f"partition formula requires 1 <= m <= r, got m={m}, r={r}")
-    total = 0
-    for alpha in partitions_bounded(m, p - 1):
-        ff = math.perm(r, alpha.size)
-        l_fact = alpha.multiplicity_factorial
-        term, rem = divmod(ff, l_fact)
-        if rem:
-            raise AssertionError("partition term is not integral")
-        total += term
-    return total
+
+    def terms(remaining: int, part: int, n_parts: int, mult_factorials: int) -> int:
+        # partitions of ``remaining`` into parts <= ``part``, completing one
+        # that already has ``n_parts`` parts and prod m_i! = ``mult_factorials``
+        if remaining == 0:
+            term, rem = divmod(math.perm(r, n_parts), mult_factorials)
+            if rem:
+                raise AssertionError("partition term is not integral")
+            return term
+        if part == 0:
+            return 0
+        total = 0
+        for mult in range(remaining // part + 1):
+            rest = remaining - mult * part
+            total += terms(rest, part - 1, n_parts + mult, mult_factorials * math.factorial(mult))
+        return total
+
+    return terms(m, min(p - 1, m), 0, 1)
 
 
 def pi_value(p: int, r: int, k: int) -> int:
@@ -247,6 +209,8 @@ def check_inequality_suite(r_max: int, t_max: int | None = None) -> InequalitySu
     the primes ``SUITE_PRIMES``."""
     if r_max < 1:
         raise ValueError("r_max must be at least 1")
+    # the largest table read below, so an r_max over the degree cap is refused before any row
+    omega_by_convolution(max(SUITE_PRIMES), r_max)
     if t_max is None:
         t_max = (r_max - 1) // 2
     rows: list[InequalityRow] = []

@@ -28,6 +28,11 @@ from .presentations import complex_summary, normalize_presentation, parse_presen
 
 __all__ = ["CheckResult", "run_all", "ALL_CHECKS"]
 
+JENNINGS_LIMIT = 128  # check_jennings covers every (Z_p)^r with p^r at most this
+OMEGA_R_MAX = 12
+LEDGER_R_MAX, LEDGER_T_MAX = 30, 15
+SEED = 20240811  # the random draws of the three property checks
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -75,23 +80,19 @@ def check_torus_golden() -> CheckResult:
     return _ok(name, "4x8 matrix exact; betti (1,2,1); hrk 4 = 2^2; case c")
 
 
-def _jennings_pairs(limit: int = 128):
-    for p in range(2, limit + 1):
-        if not fpexact.is_prime(p):
-            continue
-        r = 1
-        while p**r <= limit:
-            yield p, r
-            r += 1
-
-
-def check_jennings(limit: int = 128) -> CheckResult:
+def check_jennings() -> CheckResult:
     """Criterion 2: filtration jumps of (Z_p)^r equal the coefficients of
-    (1 + x + ... + x^{p-1})^r for every p^r <= limit, both by elimination
-    and from the Jennings series."""
+    (1 + x + ... + x^{p-1})^r for every p^r <= JENNINGS_LIMIT, both by
+    elimination and from the Jennings series."""
     name = "jennings-equality"
     count = 0
-    for p, r in _jennings_pairs(limit):
+    pairs = [
+        (p, r)
+        for p in range(2, JENNINGS_LIMIT + 1)
+        for r in range(1, JENNINGS_LIMIT.bit_length())  # 2^r <= JENNINGS_LIMIT bounds r
+        if fpexact.is_prime(p) and p**r <= JENNINGS_LIMIT
+    ]
+    for p, r in pairs:
         group = make_elementary_abelian(p, r)
         dims = [len(pivots) for _, pivots in groupring._level_bases(p, group)]
         jennings = groupring._jennings_dims(p, group)
@@ -107,17 +108,17 @@ def check_jennings(limit: int = 128) -> CheckResult:
         if dims[-1] != 0 or sum(lambdas) != p**r:
             return _fail(name, f"p={p} r={r}: profile not nilpotent with total p^r")
         count += 1
-    return _ok(name, f"{count} pairs (p, r) with p^r <= {limit} agree")
+    return _ok(name, f"{count} pairs (p, r) with p^r <= {JENNINGS_LIMIT} agree")
 
 
-def check_omega_identities(r_max: int = 12) -> CheckResult:
+def check_omega_identities() -> CheckResult:
     """Criterion 3: three formulas agree; recursion, symmetry, strict
     unimodality, ratio discipline, and total p^r."""
     name = "omega-identities"
     import math
 
     for p in SUITE_PRIMES:
-        for r in range(1, r_max + 1):
+        for r in range(1, OMEGA_R_MAX + 1):
             table = omega_by_convolution(p, r)
             deg = r * (p - 1)
             if sum(table.coeffs) != p**r:
@@ -160,19 +161,19 @@ def check_omega_identities(r_max: int = 12) -> CheckResult:
                         return _fail(name, f"p={p} r={r} m={m}: ratio bound fails")
                     if (lhs == rhs) != (m == 1):
                         return _fail(name, f"p={p} r={r} m={m}: ratio equality pattern broken")
-    return _ok(name, f"all identities hold for p in {SUITE_PRIMES}, r <= {r_max}")
+    return _ok(name, f"all identities hold for p in {SUITE_PRIMES}, r <= {OMEGA_R_MAX}")
 
 
-def check_inequality_ledger(r_max: int = 30, t_max: int = 15) -> CheckResult:
+def check_inequality_ledger() -> CheckResult:
     """Criterion 4: binomial inequality families with exact equality cases."""
     name = "inequality-ledger"
-    report = omega.check_inequality_suite(r_max, t_max=t_max)
+    report = omega.check_inequality_suite(LEDGER_R_MAX, t_max=LEDGER_T_MAX)
     violations = report.discipline_violations()
     if violations:
         return _fail(name, "; ".join(violations))
     return _ok(
         name,
-        f"central families t <= {t_max}, threshold family r <= {r_max}, "
+        f"central families t <= {LEDGER_T_MAX}, threshold family r <= {LEDGER_R_MAX}, "
         "equality exactly at t=0 / t=1 / r in {1,2}; threshold strict iff r >= 4",
     )
 
@@ -302,7 +303,7 @@ def check_growth() -> CheckResult:
     return _ok(name, f"sequences {seq} and {fseq}; stage-2 b1 {stage2.b1} = 1 + 8*2 >= 4")
 
 
-def check_fpexact_properties(seed: int = 20240811) -> CheckResult:
+def check_fpexact_properties() -> CheckResult:
     """Rank fuzz against an independent elimination, transpose and
     product-rank properties, and normal-form replay."""
     name = "fpexact-properties"
@@ -325,7 +326,7 @@ def check_fpexact_properties(seed: int = 20240811) -> CheckResult:
             rank += 1
         return rank
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     for p in (2, 3, 5):
         for _ in range(12):
             rows = int(rng.integers(1, 24))
@@ -349,18 +350,18 @@ def check_fpexact_properties(seed: int = 20240811) -> CheckResult:
     # three panels of dense fill, so the deferred trailing updates run, and
     # rank 70 < 72, so a stale update shows as excess rank; its own generator
     # leaves the draws above as they are
-    rng = np.random.default_rng(seed + 1)
+    rng = np.random.default_rng(SEED + 1)
     data = rng.integers(0, 7, size=(72, 70)) @ rng.integers(0, 7, size=(70, 150)) % 7
     if fpexact.rank(FpMatrix(72, 150, data.ravel(), 7)) != oracle_rank(data.tolist(), 7):
         return _fail(name, "p=7: panel-blocked rank disagrees with independent elimination")
     return _ok(name, "rank fuzz, transpose, replay and product-rank properties hold")
 
 
-def check_groupring_properties(seed: int = 20240811) -> CheckResult:
+def check_groupring_properties() -> CheckResult:
     """Equivariant action, ideal-power mapping, kernel lower bound, and
     the augmentation being a ring map."""
     name = "groupring-properties"
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     targets = [
         (2, make_elementary_abelian(2, 2)),
         (2, groupring.make_cyclic(4)),
@@ -404,11 +405,11 @@ def check_groupring_properties(seed: int = 20240811) -> CheckResult:
     return _ok(name, "action, ideal-power mapping and kernel bounds hold on 5 groups")
 
 
-def check_cover_properties(seed: int = 20240811) -> CheckResult:
+def check_cover_properties() -> CheckResult:
     """Boundary composition, rank(d1) against the component count, equivariance,
     order-independence, and the graded mapping of the boundary blocks."""
     name = "cover-properties"
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     for item_name in ("torus/Z2^2", "klein/Z2^2", "genus2/Z2^2", "z2free/Z2^2", "torus/Z3^2"):
         item = next(i for i in corpus.CORPUS if i.name == item_name)
         pres, group, hom = corpus.build_item(item)
@@ -427,8 +428,8 @@ def check_cover_properties(seed: int = 20240811) -> CheckResult:
             return _fail(name, f"{item.name}: a target of one more rank does not give {p} copies")
         if fpexact.rank(cover_l.d2) != big.size * pres.n_relators - cover_l.b2:
             return _fail(name, f"{item.name}: rank of the full d2 does not match b2")
-        for seed in cover.seeds.reshape(-1, group.size):
-            block = covers.equivariant_block(group.mult, seed)
+        for seed_row in cover.seeds.reshape(-1, group.size):
+            block = covers.equivariant_block(group.mult, seed_row)
             g, h = (int(x) for x in rng.integers(0, group.size, size=2))
             lhs = GroupRingElement(group, p, block[group.op(g, h)])
             rhs = ring_mul(GroupRingElement.delta(group, p, g), GroupRingElement(group, p, block[h]))

@@ -38,7 +38,7 @@ def test_criterion_1_torus_golden(capsys):
 
 def test_criterion_2_jennings_equality(capsys):
     """Filtration jumps equal coefficient tables for every p^r <= 128."""
-    run_check(capsys, 2, lambda: selfcheck.check_jennings(128), budget_s=30.0)
+    run_check(capsys, 2, selfcheck.check_jennings, budget_s=30.0)
 
 
 def test_criterion_3_omega_identities(capsys):
@@ -52,7 +52,7 @@ def test_criterion_4_inequality_ledger(capsys):
     threshold family true iff r >= 4 up to r = 30; pi lower bound with
     equality only at r in {1, 2}."""
     start = time.monotonic()
-    result = selfcheck.check_inequality_ledger(r_max=30, t_max=15)
+    result = selfcheck.check_inequality_ledger()
     suite = check_inequality_suite(30, t_max=15)
     rows = {r.params[0]: r for r in suite.family("hrk_threshold")}
     ok = (

@@ -55,6 +55,15 @@ class TestOmega:
         code, out, err = run_cli(["omega", *argv], capsys)
         assert (code, out, err) == (1, "", "error: r_max must be at least 1\n")
 
+    def test_suite_over_the_degree_cap_is_refused_before_any_row(self):
+        # the p = 7 table of degree 6 r_max is read last, but checked first
+        src = os.path.dirname(os.path.dirname(hcc.__file__))
+        for r_max, degree in (("1667", "10002"), ("99999999999999999999", "599999999999999999994")):
+            res = subprocess.run([sys.executable, "-m", "hcc.cli", "omega", "--suite", r_max],
+                                 env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=20)
+            assert (res.returncode, res.stdout) == (1, "")
+            assert res.stderr == f"error: degree r(p-1) = {degree} above cap 10000\n"
+
     def test_deterministic(self, capsys):
         _, out1, _ = run_cli(["omega", "--p", "5", "--r", "3"], capsys)
         _, out2, _ = run_cli(["omega", "--p", "5", "--r", "3"], capsys)
@@ -80,6 +89,46 @@ class TestRing:
         code, out, _ = run_cli(["ring", "--p", "3", "--table", str(table)], capsys)
         assert code == 0
         assert json.loads(out)["lambdas"] == [1, 1, 1]
+
+    @pytest.mark.parametrize("entry", ["99999999999999999999999", "-99999999999999999999999"])
+    def test_table_entry_outside_int64_is_an_input_error(self, entry, torus_files, tmp_path, capsys):
+        table = tmp_path / "big.tbl"
+        table.write_text(f"order 2\n0 1\n1 {entry}\n")
+        pres, hom = torus_files
+        for argv in (["ring", "--p", "2"], ["cover", "--p", "2", "--pres", pres, "--hom", hom]):
+            code, out, err = run_cli([*argv, "--table", str(table)], capsys)
+            assert (code, out, err) == (1, "", "error: table entries must be element indices\n")
+
+    @pytest.mark.parametrize("group", [["--p", "2", "--cyclic", "4"], ["--p", "2", "--r", "3"], ["--p", "3", "--table"]])
+    def test_k_max_prints_prefixes_of_the_full_profile(self, group, tmp_path, capsys):
+        if group[-1] == "--table":  # S3 at p = 3: not nilpotent, stable from k = 1
+            table = tmp_path / "s3.tbl"
+            table.write_text("order 6\n0 1 2 3 4 5\n1 0 4 5 2 3\n2 3 0 1 5 4\n3 2 5 4 0 1\n4 5 1 0 3 2\n5 4 3 2 1 0\n")
+            group = group + [str(table)]
+        _, out, _ = run_cli(["ring", *group], capsys)
+        full = json.loads(out)
+        _, out, _ = run_cli(["ring", *group, "--format", "tsv"], capsys)
+        full_rows = out.splitlines()
+        for k_max in (1, 2, full["stabilization_k"], 100):
+            code, out, err = run_cli(["ring", *group, "--k-max", str(k_max)], capsys)
+            assert (code, err) == (0, "")
+            lambdas, dims = full["lambdas"][:k_max], full["delta_dims"][: k_max + 1]
+            assert json.loads(out) == {**full, "delta_dims": dims, "lambdas": lambdas}
+            code, out, _ = run_cli(["ring", *group, "--k-max", str(k_max), "--format", "tsv"], capsys)
+            rows = out.splitlines()
+            assert code == 0 and len(rows) == len(dims) + 1 and rows[:-1] == full_rows[: len(dims)]
+            # no jump is printed for the last level, whose next level is not printed
+            assert rows[-1].split("\t") == full_rows[len(dims)].split("\t")[:2] + [""]
+
+    @pytest.mark.parametrize("k_max", ["0", "-1"])
+    def test_k_max_below_one_is_refused_after_the_group_and_the_prime(self, k_max, capsys, monkeypatch):
+        monkeypatch.setattr(groupring, "filtration_profile", None)  # refused before any profile is computed
+        code, out, err = run_cli(["ring", "--p", "2", "--cyclic", "4", "--k-max", k_max], capsys)
+        assert (code, out, err) == (1, "", "error: k_max must be at least 1\n")
+        code, out, err = run_cli(["ring", "--p", "4", "--cyclic", "3", "--k-max", k_max], capsys)
+        assert (code, out) == (1, "") and err.startswith("error: modulus must be a prime integer")
+        code, out, err = run_cli(["ring", "--p", "2", "--k-max", k_max], capsys)
+        assert (code, out) == (1, "") and "target group" in err
 
     def test_missing_group(self, capsys):
         code, _, err = run_cli(["ring", "--p", "2"], capsys)

@@ -152,6 +152,9 @@ class TestConstructors:
     def test_table_entries_must_be_indices(self):
         with pytest.raises(GroupValidationError, match="^table entries must be element indices$"):
             OrderedGroup([[0, 2], [2, 0]])
+        for entry in (2**70, -(2**70)):  # outside int64: refused as an index, not an OverflowError
+            with pytest.raises(GroupValidationError, match="^table entries must be element indices$"):
+                OrderedGroup([[0, 1], [1, entry]])
         with pytest.raises(GroupValidationError, match="^need one element name per element$"):
             OrderedGroup([[0, 1], [1, 0]], element_names=["a"])
 
@@ -327,6 +330,8 @@ class TestFiltration:
         assert prof.delta_dims == (4, 3, 2, 1, 0)
         assert prof.lambdas == (1, 1, 1, 1)
         assert prof.nilpotent
+        # past the last level, the filtration stays at 0
+        assert (prof.delta_dim_at(3), prof.lambda_at(1), prof.delta_dim_at(9), prof.lambda_at(9)) == (1, 1, 0, 0)
 
     def test_z2_mod3_not_nilpotent(self):
         prof = filtration_profile(3, make_cyclic(2))
@@ -334,6 +339,7 @@ class TestFiltration:
         assert not prof.nilpotent
         assert prof.stabilization_k == 1
         assert prof.lambda_at(0) == 1 and prof.lambda_at(5) == 0
+        assert prof.delta_dim_at(5) == 1  # the stable dimension, past the last level
 
     def test_first_two_dims(self):
         for p, g in ((2, make_cyclic(6)), (3, make_elementary_abelian(3, 2))):
@@ -366,32 +372,6 @@ class TestFiltration:
             with pytest.raises(ValueError, match="k must be non-negative"):
                 ask(-1, e)
 
-    def test_k_max_truncation(self):
-        prof = filtration_profile(2, make_cyclic(4), k_max=2)
-        assert prof.delta_dims == (4, 3, 2)
-        assert prof.lambdas == (1, 1)
-        assert prof.nilpotent  # global fact, not window-relative
-
-    def test_k_max_window_answers_as_the_full_profile(self):
-        g = make_cyclic(4)
-        prof = filtration_profile(2, g, k_max=1)
-        x = GroupRingElement.delta(g, 2, 1) - GroupRingElement.delta(g, 2, 0)  # in I^1, not in I^2
-        assert prof.contains(1, x)
-        assert not prof.contains(2, x)
-        assert prof.delta_dim_at(1) == 3 and prof.lambda_at(0) == 1
-        # the window ends at k = 1, before the filtration stabilizes at k = 4
-        with pytest.raises(ValueError, match="before the filtration stabilizes at k = 4"):
-            prof.delta_dim_at(3)
-        with pytest.raises(ValueError, match="past this truncated profile"):
-            prof.lambda_at(1)
-        full = filtration_profile(2, g)
-        assert (full.delta_dim_at(3), full.lambda_at(1), full.delta_dim_at(9), full.lambda_at(9)) == (1, 1, 0, 0)
-
-    def test_k_max_window_reaching_stabilization_answers_beyond_it(self):
-        prof = filtration_profile(3, make_cyclic(2), k_max=1)
-        assert prof.delta_dims == (2, 1) and prof.stabilization_k == 1
-        assert prof.delta_dim_at(5) == 1 and prof.lambda_at(5) == 0
-
     def test_cache_returns_same_object(self):
         g = make_cyclic(9)
         assert filtration_profile(3, g) is filtration_profile(3, g)
@@ -401,7 +381,6 @@ class TestFiltration:
         a, b = make_elementary_abelian(3, 1), make_cyclic(3)
         assert a.table_hash == b.table_hash
         assert filtration_profile(3, a).group is a and filtration_profile(3, b).group is b
-        assert filtration_profile(3, b, k_max=1).group is b
 
     def test_cache_keeps_no_group_alive(self):
         g = make_cyclic(25)
@@ -689,24 +668,6 @@ def test_contains_builds_the_bases_once_per_profile(elimination_calls):
         assert filtration_profile(p, group) is prof and prof.contains(1, x)
         assert elimination_calls == dims_calls + [(p, group.size)]
         elimination_calls.clear()
-
-
-def test_k_max_windows_read_the_bases_of_their_full_profile(elimination_calls):
-    # A4 takes elimination at p = 2, once for the dimensions and once for the bases
-    group = PROFILE_GROUPS["A4"]
-    x = GroupRingElement.delta(group, 2, 1) - GroupRingElement.delta(group, 2, 0)
-    full = filtration_profile(2, group)
-    assert full.contains(1, x)
-    windows = [filtration_profile(2, group, k_max=1) for _ in range(3)]
-    assert all(w.contains(1, x) and w is not full for w in windows)
-    assert elimination_calls == [(2, 12)] * 2
-    del full, windows
-    gc.collect()
-    elimination_calls.clear()
-    # with no full profile held, each window holds the one it was cut from, which stays the last profile
-    windows = [filtration_profile(2, group, k_max=1) for _ in range(3)]
-    assert all(w.contains(1, x) for w in windows)
-    assert elimination_calls == [(2, 12)]
 
 
 def test_level_bases_own_their_rows():

@@ -8,7 +8,6 @@ from hcc.omega import (
     omega_by_alternating_sum,
     omega_by_convolution,
     omega_by_partitions,
-    partitions_bounded,
     pi_value,
 )
 
@@ -73,16 +72,6 @@ class TestAlternatingSum:
 
 
 class TestPartitions:
-    def test_enumeration(self):
-        parts = partitions_bounded(4, 2)
-        as_tuples = [p.parts for p in parts]
-        assert as_tuples == [((1, 4),), ((1, 2), (2, 1)), ((2, 2),)]
-
-    def test_partition_stats(self):
-        (p,) = [q for q in partitions_bounded(5, 4) if q.parts == ((1, 1), (4, 1))]
-        assert p.size == 2
-        assert p.multiplicity_factorial == 1
-
     def test_examples(self):
         assert omega_by_partitions(2, 5, 3) == 10  # C(5, 3)
         assert omega_by_partitions(3, 3, 2) == 6
