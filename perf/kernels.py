@@ -1,0 +1,174 @@
+#!/usr/bin/env python3
+"""Kernel rows: the heaviest rank of the ``covers`` workload, measured alone.
+
+Rebuilds a block of the shape of the workload's heaviest one from its own
+seeded presentation: three 32-letter commutator relators on three
+generators, mapped onto (Z7)^3, so ``build_cover`` ranks a 687 x 1029
+transposed cotree block at p = 7.  Each row is named after its layer in
+``bench/trace.py``:
+
+* ``fpexact.rank`` -- the rank of that block;
+* ``covers.build_cover`` -- the whole cover, the group and homomorphism
+  built beforehand.
+
+A row records the median and interquartile range of ``--reps`` timed
+calls after one warm-up call, the tracemalloc peak of one more call, and
+the answer with its digest (the block's bytes and its rank; the cover's
+Betti numbers).  A run records the machine, the versions, the git commit
+(``git describe --dirty``, so a run on uncommitted changes reads
+``<commit>-dirty``) and a digest of ``src/hcc``, and replaces the run of the
+same ``--label`` in ``BENCH_kernels.json`` at the repository root.
+``tests/test_covers.py`` loads this file for ``heavy_cover``.
+
+    python3 perf/kernels.py --label parent --reps 15   # record a run
+    python3 perf/kernels.py --check --reps 1           # answers only; writes nothing
+
+``--check`` exits 1 when an answer's digest differs from ``EXPECTED``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import glob
+import hashlib
+import json
+import os
+import random
+import statistics
+import subprocess
+import sys
+import time
+import tracemalloc
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+import numpy as np  # noqa: E402
+
+from hcc import fpexact  # noqa: E402
+from hcc.covers import Homomorphism, build_cover  # noqa: E402
+from hcc.groupring import make_elementary_abelian  # noqa: E402
+from hcc.presentations import FreeWord, Presentation  # noqa: E402
+
+OUT = os.path.join(ROOT, "BENCH_kernels.json")
+EXPECTED = {"fpexact.rank": "38d5242c5761dd25", "covers.build_cover": "6049a0d1d60c853e"}
+
+
+def commutator_relator(rng: random.Random, n: int, length: int) -> FreeWord:
+    """A freely reduced product of commutators [u, v] of words of one or
+    two letters, grown until it has at least ``length`` letters."""
+    letters: list[tuple[int, int]] = []
+    while len(letters) < length:
+        u, v = ([(rng.randrange(n), rng.choice((1, -1))) for _ in range(rng.randint(1, 2))] for _ in "uv")
+        for g, s in u + v + [(g, -s) for g, s in reversed(u)] + [(g, -s) for g, s in reversed(v)]:
+            if letters and letters[-1] == (g, -s):
+                letters.pop()
+            else:
+                letters.append((g, s))
+    return FreeWord(letters)
+
+
+def heavy_cover() -> tuple[Presentation, Homomorphism]:
+    """The presentation and its map onto (Z7)^3."""
+    rng = random.Random("perf:covers-heavy")
+    pres = Presentation(("a", "b", "c"), tuple(commutator_relator(rng, 3, 32) for _ in range(3)))
+    group = make_elementary_abelian(7, 3)
+    return pres, Homomorphism(pres, group, [group.ea_index[t] for t in ((1, 0, 0), (0, 1, 0), (0, 0, 1))])
+
+
+def digest(answer: dict) -> str:
+    return hashlib.sha256(json.dumps(answer, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def kernels():
+    """(name, call, answer) per row; ``answer`` maps the call's result to a dict."""
+    pres, hom = heavy_cover()
+    blocks = []
+    rank = fpexact.rank
+    fpexact.rank = lambda m: blocks.append(m) or rank(m)  # the block build_cover ranks
+    try:
+        build_cover(pres, hom, 7)
+    finally:
+        fpexact.rank = rank
+    block = blocks[0]
+    block_sha = hashlib.sha256(block.array.astype(np.int64).tobytes()).hexdigest()[:16]
+    return [
+        ("fpexact.rank", lambda: fpexact.rank(block),
+         lambda r: {"shape": [block.rows, block.cols], "p": block.p, "block_sha256": block_sha, "rank": r}),
+        ("covers.build_cover", lambda: build_cover(pres, hom, 7),
+         lambda c: {"b0": c.b0, "b1": c.b1, "b2": c.b2}),
+    ]
+
+
+def measure(call, answer, reps: int) -> dict:
+    result = call()
+    times = []
+    for _ in range(reps):
+        start = time.perf_counter()
+        result = call()
+        times.append(time.perf_counter() - start)
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    q1, _, q3 = statistics.quantiles(times, n=4, method="inclusive") if reps > 1 else times * 3
+    out = answer(result)
+    return {"median_ms": round(1e3 * statistics.median(times), 3), "iqr_ms": round(1e3 * (q3 - q1), 3),
+            "tracemalloc_peak_mib": round(peak / 2**20, 3), "answer": out, "digest": digest(out)}
+
+
+def source() -> dict:
+    try:
+        head = subprocess.run(["git", "-C", ROOT, "describe", "--always", "--dirty", "--abbrev=40"],
+                              capture_output=True, text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        head = None
+    h = hashlib.sha256()
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "hcc", "*.py"))):
+        with open(path, "rb") as fh:
+            h.update(os.path.basename(path).encode() + b"\0" + fh.read())
+    return {"git_describe": head, "src_sha256": h.hexdigest()[:16]}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--reps", type=int, default=15)
+    ap.add_argument("--label", default="HEAD", help="the run to replace in the output file")
+    ap.add_argument("--check", action="store_true", help="verify the answers' digests; write nothing")
+    ap.add_argument("--out", default=OUT)
+    args = ap.parse_args(argv)
+    if args.reps < 1:
+        ap.error("--reps must be at least 1")
+    rows, bad = {}, []
+    for name, call, answer in kernels():
+        row = rows[name] = measure(call, answer, args.reps)
+        print(f"{name:<20} median {row['median_ms']:9.3f} ms  IQR {row['iqr_ms']:8.3f} ms  "
+              f"peak {row['tracemalloc_peak_mib']:7.3f} MiB  digest {row['digest']}  {row['answer']}")
+        if row["digest"] != EXPECTED[name]:
+            bad.append(f"{name}: digest {row['digest']}, expected {EXPECTED[name]}")
+    for line in bad:
+        print(f"MISMATCH {line}", file=sys.stderr)
+    if args.check or bad:
+        return 1 if bad else 0
+    sys.path.insert(0, os.path.join(ROOT, "bench"))
+    from run import machine  # the run record bench/run.py prints
+
+    run = {"label": args.label, **source(), "machine": machine(), "numpy": np.__version__, "reps": args.reps,
+           "rows": rows}
+    try:
+        with open(args.out) as fh:
+            record = json.load(fh)
+    except FileNotFoundError:
+        record = {"about": "perf/kernels.py runs; each row's times are over `reps` calls; a run's code is "
+                           "its `src_sha256` (`git_describe` ends in -dirty on uncommitted changes)", "runs": []}
+    record["runs"] = [r for r in record["runs"] if r["label"] != args.label] + [run]
+    with open(args.out, "w") as fh:
+        json.dump(record, fh, indent=1)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -52,7 +52,7 @@ MAX_PRIME = 1048573  # largest prime below 2^20: residue products stay below 2^4
 PANEL = 64  # _echelon's panel width; PANEL * (MAX_PRIME - 1)^2 < 2^53 keeps panel products exact
 DEFER_ENTRIES = 4096  # updates touching at least this many trailing entries are recorded, not applied
 _FLUSH_ROWS = 128  # rows per chunk of a deferred panel product, to bound its temporaries
-_LAZY_LIMIT = 1 << 62  # _echelon reduces its trailing block every panel if entries could grow this far
+_LAZY_LIMIT = 1 << 62  # _echelon reduces its trailing block every panel if int64 entries could grow this far
 
 _entry_cap: int | None = None  # read from HCC_MATRIX_CAP on first use
 
@@ -149,7 +149,7 @@ class FpMatrix:
 
     @classmethod
     def _wrap(cls, a: np.ndarray, p: int) -> "FpMatrix":
-        # internal: a already reduced mod p, int64, 2-d
+        # internal: a already reduced mod p, int64 or int32, 2-d
         m = object.__new__(cls)
         object.__setattr__(m, "_a", a)
         object.__setattr__(m, "p", p)
@@ -190,7 +190,7 @@ class FpMatrix:
 
     @property
     def array(self) -> np.ndarray:
-        """Read-only view of the underlying int64 array."""
+        """Read-only view of the underlying residue array: int64, or int32 where built internally."""
         return self._a
 
     def entry(self, i: int, j: int) -> int:
@@ -280,7 +280,7 @@ class SnfResult:
 
     def replay(self, m: FpMatrix) -> FpMatrix:
         """Apply the recorded operations to ``m`` and return the result."""
-        a = m.array.copy()
+        a = m.array.astype(np.int64)
         for op in self.left_ops:
             _apply_row(op, a, m.p)
         for op in self.right_ops:
@@ -332,13 +332,14 @@ def _echelon(a: np.ndarray, p: int, reduced: bool = False) -> list[int]:
     multiplier and pivot-row entry is a residue and every update is below
     (p-1)^2.  An entry takes at most one update per pivot, so it stays
     within min(rows, cols) (p-1)^2 + p of zero; where that could reach
-    _LAZY_LIMIT, the trailing block is reduced after every panel.  Rows
-    above the pivots (``reduced``) are reduced once at the end.
+    _LAZY_LIMIT (2^30 for int32 ``a``, which ``rank`` passes only below it),
+    the trailing block is reduced after every panel.  Rows above the
+    pivots (``reduced``) are reduced once at the end.
     """
     n_rows, n_cols = a.shape
     pivots: list[int] = []
     r = 0
-    reduce_panels = min(n_rows, n_cols) * (p - 1) ** 2 + p >= _LAZY_LIMIT
+    reduce_panels = min(n_rows, n_cols) * (p - 1) ** 2 + p >= _LAZY_LIMIT >> 8 * (8 - a.itemsize)
     for c0 in range(0, n_cols, PANEL):
         c1 = min(c0 + PANEL, n_cols)
         k = 0  # updates recorded in this panel, in mult and prows
@@ -393,8 +394,9 @@ def _echelon(a: np.ndarray, p: int, reduced: bool = False) -> list[int]:
 
 
 def rank(m: FpMatrix) -> int:
-    """F_p-rank via Gaussian elimination."""
-    a = m.array.copy()
+    """F_p-rank via Gaussian elimination, in int32 where _echelon's bound stays below 2^30."""
+    narrow = min(m.rows, m.cols) * (m.p - 1) ** 2 + m.p < _LAZY_LIMIT >> 32
+    a = m.array.astype(np.int32 if narrow else np.int64)
     return len(_echelon(a, m.p))
 
 
@@ -405,7 +407,7 @@ def kernel_dim(m: FpMatrix) -> int:
 
 def rref(m: FpMatrix) -> tuple[FpMatrix, tuple[int, ...]]:
     """Reduced row-echelon form and its pivot columns."""
-    a = m.array.copy()
+    a = m.array.astype(np.int64)
     pivots = _echelon(a, m.p, reduced=True)
     return FpMatrix._wrap(a, m.p), tuple(pivots)
 
@@ -421,7 +423,7 @@ def smith_normal_form(m: FpMatrix) -> SnfResult:
     changes one entry, to zero.
     """
     p = m.p
-    a = m.array.copy()
+    a = m.array.astype(np.int64)
     n_rows, n_cols = a.shape
     left: list[ElementaryOp] = []
     right: list[ElementaryOp] = []

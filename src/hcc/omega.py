@@ -59,14 +59,18 @@ class OmegaTable:
         return (self.r - 1) * self.coeffs[k] - sum(self.coeffs[k + 1 :])
 
 
+def _check_degree(p: int, r: int) -> None:
+    if r * (p - 1) > CONVOLUTION_DEGREE_CAP:
+        raise CapExceededError(f"degree r(p-1) = {r * (p - 1)} above cap {CONVOLUTION_DEGREE_CAP}")
+
+
 @lru_cache(maxsize=256)
 def omega_by_convolution(p: int, r: int) -> OmegaTable:
     """Exact coefficients by repeated multiplication with 1 + x + ... + x^{p-1}."""
     check_prime(p)
     if r < 1:
         raise ValueError("r must be at least 1")
-    if r * (p - 1) > CONVOLUTION_DEGREE_CAP:
-        raise CapExceededError(f"degree r(p-1) = {r * (p - 1)} above cap {CONVOLUTION_DEGREE_CAP}")
+    _check_degree(p, r)
     coeffs = [1]
     for _ in range(r):
         # multiply by the length-p window of ones via a running sum
@@ -209,8 +213,8 @@ def check_inequality_suite(r_max: int, t_max: int | None = None) -> InequalitySu
     the primes ``SUITE_PRIMES``."""
     if r_max < 1:
         raise ValueError("r_max must be at least 1")
-    # the largest table read below, so an r_max over the degree cap is refused before any row
-    omega_by_convolution(max(SUITE_PRIMES), r_max)
+    # the largest degree read below, so an r_max over the cap is refused before any row
+    _check_degree(max(SUITE_PRIMES), r_max)
     if t_max is None:
         t_max = (r_max - 1) // 2
     rows: list[InequalityRow] = []

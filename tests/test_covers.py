@@ -1,6 +1,9 @@
 import dataclasses
+import importlib.util
 import json
 import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -526,6 +529,28 @@ class TestSeedAssembly:
         fpexact.set_entry_cap(32)
         assert cli.main(argv) == 0
         assert json.loads(capsys.readouterr().out)["b0"] == 2
+
+
+def test_heavy_cover_memory():
+    # perf/kernels.py's heavy cover, three 32-letter commutator relators onto
+    # (Z7)^3: the rank runs on the 687 x 1029 transposed cotree block, gathered
+    # in int32 after the boundary check, so the peak is about that block and
+    # rank's int32 copy of it
+    spec = importlib.util.spec_from_file_location("perf_kernels", Path(__file__).resolve().parents[1] / "perf" / "kernels.py")
+    kernels = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(kernels)
+    pres, hom = kernels.heavy_cover()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        cover = build_cover(pres, hom, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # b2 = 3 * 343 - 684: the block's rank, as perf/kernels.py --check records it
+    assert (cover.b0, cover.b1, cover.b2) == (1, 3, 345)
+    assert len(hom.schreier_generators) == 687
+    assert peak < 11 << 20, peak / 2**20
 
 
 def table_text(group, rng):

@@ -312,6 +312,83 @@ def test_dense_matrix_across_default_panels(monkeypatch):
     assert rank(m) == len(expected_pivots)
 
 
+class TestNarrowRank:
+    """``rank`` eliminates in int32 where min(rows, cols) (p-1)^2 + p < 2^30."""
+
+    def test_width_follows_the_bound(self, monkeypatch):
+        # at p = 32749 one row is under the bound and two are over it
+        p = 32749
+        assert 32748**2 + p < 2**30 <= 2 * 32748**2 + p
+        seen = []
+        echelon = fpexact._echelon
+        monkeypatch.setattr(fpexact, "_echelon", lambda a, p: seen.append(a.dtype) or echelon(a, p))
+        rng = np.random.default_rng(53)
+        for shape in ((1, 40), (40, 1), (2, 40), (40, 2), (30, 30)):
+            data = rng.integers(0, p, size=shape)
+            assert rank(FpMatrix(*shape, data.ravel(), p)) == reference_rank(data.tolist(), p)
+        assert seen == [np.int32, np.int32, np.int64, np.int64, np.int64]
+        seen.clear()
+        rank(FpMatrix(687, 1029, np.zeros(687 * 1029, dtype=np.int64), 7))
+        assert seen == [np.int32]
+
+    def test_narrow_echelon_equals_the_wide_one(self):
+        rng = np.random.default_rng(59)
+        for p in (2, 3, 7, 101, 32749):
+            for k in range(8):
+                data = random_matrix(rng, p, max_side=160)
+                if k % 2:
+                    data[rng.random(data.shape) >= 0.1] = 0
+                if p == 32749:  # one row or one column
+                    data = data[:1] if k % 4 < 2 else data[:, :1]
+                assert min(data.shape) * (p - 1) ** 2 + p < 2**30
+                for reduced in (False, True):
+                    wide, narrow = data.copy(), data.astype(np.int32)
+                    assert fpexact._echelon(narrow, p, reduced) == fpexact._echelon(wide, p, reduced)
+                    assert np.array_equal(narrow, wide)
+
+    def test_internal_int32_matrix_computes_in_int64(self):
+        # an int32 matrix from _wrap gives its int64 twin's results, in int64
+        rng = np.random.default_rng(61)
+        for p in (2, 7, 32749):
+            for _ in range(10):
+                data = random_matrix(rng, p, max_side=20)
+                wide = FpMatrix(*data.shape, data.ravel(), p)
+                narrow = FpMatrix._wrap(data.astype(np.int32), p)
+                assert narrow.array.dtype == np.int32 and narrow == wide
+                assert rank(narrow) == rank(wide)
+                (reduced, pivots), (reduced_wide, pivots_wide) = rref(narrow), rref(wide)
+                assert pivots == pivots_wide and reduced.array.dtype == np.int64 and reduced == reduced_wide
+                snf = smith_normal_form(narrow)
+                assert snf == smith_normal_form(wide)
+                replayed = snf.replay(narrow)
+                assert replayed.array.dtype == np.int64 and replayed == snf.replay(wide)
+                assert replayed == block_diagonal(snf.diagonal, *data.shape, p)
+
+    @pytest.mark.parametrize("contiguous", [True, False])
+    def test_deferred_flush_in_int32(self, monkeypatch, contiguous):
+        # the int64 panel product of a panel's pending rows is subtracted into
+        # int32 rows: with the rows dense, every row below the first panel's
+        # pivots is pending; with every other one zero in that panel, those
+        # rows take no update and split the pending rows
+        flushes = []
+        panel_product = fpexact._panel_product
+        monkeypatch.setattr(fpexact, "_panel_product",
+                            lambda a, b: (a.ndim == b.ndim == 2 and flushes.append(a.shape)) or panel_product(a, b))
+        data = np.random.default_rng(67).integers(0, 7, size=(200, 150))
+        if not contiguous:
+            data[65::2, :64] = 0
+        expected_rows, expected_pivots = reference_rref(data.tolist(), 7)
+        a = data.astype(np.int32)
+        assert fpexact._echelon(a, 7) == list(expected_pivots)
+        assert flushes and a.dtype == np.int32
+        assert not a[len(expected_pivots) :].any() and reference_rref(a.tolist(), 7)[0] == expected_rows
+        m = FpMatrix(*data.shape, data.ravel(), 7)
+        assert rank(m) == len(expected_pivots)
+        reduced, pivots = rref(m)
+        assert pivots == expected_pivots
+        assert reduced.to_rows() == expected_rows
+
+
 def test_matmul_in_two_float_chunks_at_max_prime():
     # k * (p-1)^2 reaches 2^53, so the inner dimension is cut in two
     p, k = MAX_PRIME, 9000

@@ -165,6 +165,22 @@ class TestPi:
 
 
 class TestSuite:
+    def test_each_table_is_computed_once(self):
+        # 4 r_max distinct tables, above the cache's 256 at r_max = 65: the cap
+        # check builds none, so no table is built, evicted and built again
+        omega_by_convolution.cache_clear()
+        check_inequality_suite(65)
+        assert omega_by_convolution.cache_info().misses == 260
+
+    def test_cap_is_checked_without_a_table(self):
+        message = r"^degree r\(p-1\) = 10002 above cap 10000$"
+        omega_by_convolution.cache_clear()
+        with pytest.raises(CapExceededError, match=message):
+            check_inequality_suite(1667)
+        assert omega_by_convolution.cache_info().misses == 0
+        with pytest.raises(CapExceededError, match=message):
+            omega_by_convolution(7, 1667)
+
     def test_no_violations(self):
         report = check_inequality_suite(30, t_max=15)
         assert report.discipline_violations() == ()
