@@ -1,15 +1,22 @@
 #!/usr/bin/env python3
-"""Kernel rows: the heaviest rank of the ``covers`` workload, measured alone.
+"""Kernel rows: the heaviest rank of the ``covers`` workload and the word
+layers of the ``relators`` workload, each measured alone.
 
-Rebuilds a block of the shape of the workload's heaviest one from its own
-seeded presentation: three 32-letter commutator relators on three
-generators, mapped onto (Z7)^3, so ``build_cover`` ranks a 687 x 1029
-transposed cotree block at p = 7.  Each row is named after its layer in
+Rebuilds a block of the shape of the ``covers`` workload's heaviest one
+from its own seeded presentation: three 32-letter commutator relators on
+three generators, mapped onto (Z7)^3, so ``build_cover`` ranks a 687 x 1029
+transposed cotree block at p = 7.  The word rows read a second seeded
+presentation, three 3,000-letter commutator relators on three generators,
+as text, mapped onto (Z3)^2.  Each row is named after its layer in
 ``bench/trace.py``:
 
 * ``fpexact.rank`` -- the rank of that block;
 * ``covers.build_cover`` -- the whole cover, the group and homomorphism
-  built beforehand.
+  built beforehand;
+* ``presentations.parse_presentation`` -- parsing the 9,000-letter text;
+* ``presentations.reidemeister_schreier`` -- the rewrite of that
+  presentation along its map onto (Z3)^2: 27 relators on 19 generators;
+* ``presentations.complex_summary`` -- the mod-3 homology of that kernel.
 
 A row records the median and interquartile range of ``--reps`` timed
 calls after one warm-up call, the tracemalloc peak of one more call, and
@@ -48,10 +55,19 @@ import numpy as np  # noqa: E402
 from hcc import fpexact  # noqa: E402
 from hcc.covers import Homomorphism, build_cover  # noqa: E402
 from hcc.groupring import make_elementary_abelian  # noqa: E402
-from hcc.presentations import FreeWord, Presentation  # noqa: E402
+from hcc.presentations import (  # noqa: E402
+    FreeWord,
+    Presentation,
+    complex_summary,
+    parse_presentation,
+    reidemeister_schreier,
+)
 
 OUT = os.path.join(ROOT, "BENCH_kernels.json")
-EXPECTED = {"fpexact.rank": "38d5242c5761dd25", "covers.build_cover": "6049a0d1d60c853e"}
+EXPECTED = {"fpexact.rank": "38d5242c5761dd25", "covers.build_cover": "6049a0d1d60c853e",
+            "presentations.parse_presentation": "4ab8021ae9fa17da",
+            "presentations.reidemeister_schreier": "fc58dc1f5b7db128",
+            "presentations.complex_summary": "9361aa30680a8d4a"}
 
 
 def commutator_relator(rng: random.Random, n: int, length: int) -> FreeWord:
@@ -76,6 +92,21 @@ def heavy_cover() -> tuple[Presentation, Homomorphism]:
     return pres, Homomorphism(pres, group, [group.ea_index[t] for t in ((1, 0, 0), (0, 1, 0), (0, 0, 1))])
 
 
+def long_text() -> str:
+    """The word rows' presentation, spelled one letter per term."""
+    rng = random.Random("perf:relators-words")
+    relators = [commutator_relator(rng, 3, 3000).letters for _ in range(3)]
+    return "< a, b, c | " + ", ".join(" ".join("abc"[g] + ("" if s == 1 else "^-1") for g, s in w)
+                                      for w in relators) + " >"
+
+
+def words_digest(pres: Presentation) -> dict:
+    """Counts, and a digest of every relator's letters."""
+    h = hashlib.sha256(json.dumps([pres.generator_names, [w.letters for w in pres.relators]]).encode())
+    return {"generators": pres.n_generators, "relators": pres.n_relators,
+            "letters": sum(len(w) for w in pres.relators), "words_sha256": h.hexdigest()[:16]}
+
+
 def digest(answer: dict) -> str:
     return hashlib.sha256(json.dumps(answer, sort_keys=True).encode()).hexdigest()[:16]
 
@@ -92,11 +123,20 @@ def kernels():
         fpexact.rank = rank
     block = blocks[0]
     block_sha = hashlib.sha256(block.array.astype(np.int64).tobytes()).hexdigest()[:16]
+    text = long_text()
+    words = parse_presentation(text)
+    z3 = make_elementary_abelian(3, 2)
+    onto = Homomorphism(words, z3, [z3.ea_index[t] for t in ((1, 0), (0, 1), (1, 1))])
+    kernel = reidemeister_schreier(words, onto)
     return [
         ("fpexact.rank", lambda: fpexact.rank(block),
          lambda r: {"shape": [block.rows, block.cols], "p": block.p, "block_sha256": block_sha, "rank": r}),
         ("covers.build_cover", lambda: build_cover(pres, hom, 7),
          lambda c: {"b0": c.b0, "b1": c.b1, "b2": c.b2}),
+        ("presentations.parse_presentation", lambda: parse_presentation(text), words_digest),
+        ("presentations.reidemeister_schreier", lambda: reidemeister_schreier(words, onto), words_digest),
+        ("presentations.complex_summary", lambda: complex_summary(kernel, 3),
+         lambda s: {"b1": s.b1, "b2": s.b2, "rank": s.rank}),
     ]
 
 
@@ -144,7 +184,7 @@ def main(argv=None) -> int:
     rows, bad = {}, []
     for name, call, answer in kernels():
         row = rows[name] = measure(call, answer, args.reps)
-        print(f"{name:<20} median {row['median_ms']:9.3f} ms  IQR {row['iqr_ms']:8.3f} ms  "
+        print(f"{name:<38} median {row['median_ms']:9.3f} ms  IQR {row['iqr_ms']:8.3f} ms  "
               f"peak {row['tracemalloc_peak_mib']:7.3f} MiB  digest {row['digest']}  {row['answer']}")
         if row["digest"] != EXPECTED[name]:
             bad.append(f"{name}: digest {row['digest']}, expected {EXPECTED[name]}")

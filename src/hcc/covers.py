@@ -128,10 +128,11 @@ class Homomorphism:
         """Images of the prefixes of a free word, in one walk: entry k is
         the index of the image of its first k letters."""
         act = self.letter_action
+        columns = [column for pair in zip(act[1], act[-1]) for column in pair]  # indexed by letter code
         x = self.group.identity_index
         out = [x]
-        for j, s in word.letters:
-            x = act[s][j][x]
+        for c in word.codes.tolist():
+            x = columns[c][x]
             out.append(x)
         return out
 

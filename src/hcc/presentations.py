@@ -1,15 +1,19 @@
 """Finite group presentations and their 2-complexes.
 
-Words in the free group are kept freely reduced at all times.  From a
-presentation we build the mod-p boundary data of its presentation
-complex (one vertex, a loop per generator, a disc per relator): the
-generator-by-relator exponent-sum matrix, Betti numbers, Euler
-characteristic, and the witness deficiency.  The module also rewrites a
-presentation so that this boundary matrix becomes diagonal (replaying a
-recorded Smith normal form as generator substitutions and relator
-multiplications), and produces presentations of finite-index kernels via
-Reidemeister-Schreier rewriting along a deterministic Schreier
-transversal.
+Words in the free group are kept freely reduced at all times, each as one
+read-only int32 array of letter codes: 2g for the generator a_g and 2g + 1
+for its inverse, so the inverse of code x is x ^ 1.  Exponent sums are one
+``bincount`` of those codes, products and powers reduce only where their
+factors meet, and ``FreeWord.letters`` spells a word as (generator, +-1)
+pairs on request.  From a presentation we build the mod-p boundary data of
+its presentation complex (one vertex, a loop per generator, a disc per
+relator): the generator-by-relator exponent-sum matrix, Betti numbers,
+Euler characteristic, and the witness deficiency.  The module also
+rewrites a presentation so that this boundary matrix becomes diagonal
+(replaying a recorded Smith normal form as generator substitutions and
+relator multiplications), and produces presentations of finite-index
+kernels via Reidemeister-Schreier rewriting along a deterministic Schreier
+transversal, one gather per relator over every coset.
 
 Presentation text grammar::
 
@@ -27,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -59,41 +62,65 @@ class PresentationSyntaxError(ValueError):
         self.col = col
 
 
-def _free_reduce(letters: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    out: list[tuple[int, int]] = []
-    for g, s in letters:
-        if out and out[-1][0] == g and out[-1][1] == -s:
+def _free_reduce(codes: np.ndarray) -> np.ndarray:
+    """Free reduction of a code array, one stack step per letter; an array
+    with no adjacent inverse pair is already reduced and is kept."""
+    if not (codes[1:] == codes[:-1] ^ 1).any():
+        return codes
+    out = [-2]  # a sentinel no code cancels
+    for c in codes.tolist():
+        if out[-1] == c ^ 1:
             out.pop()
         else:
-            out.append((g, s))
-    return tuple(out)
+            out.append(c)
+    return np.array(out[1:], dtype=np.int32)
+
+
+def _seam(u: np.ndarray, v: np.ndarray) -> int:
+    """How many letters cancel where the reduced words u and v meet: the
+    length of the longest tail of u that v's head inverts."""
+    m = min(len(u), len(v))
+    match = u[len(u) - m:][::-1] == v[:m] ^ 1
+    return m if match.all() else int(match.argmin())
 
 
 class FreeWord:
-    """A freely reduced word: a sequence of (generator index, +-1) letters.
+    """A freely reduced word in the free group on a_0, a_1, ...
 
-    Words are immutable: ``letters`` is read-only and its slot is private.
+    Stored as one read-only int32 array of letter codes, 2g for a_g and
+    2g + 1 for its inverse, so the inverse of code x is x ^ 1.  ``letters``
+    spells the same word as (generator index, +-1) pairs.  Words are
+    immutable: products and powers reduce only where their factors meet.
     """
 
-    __slots__ = ("_letters",)
+    __slots__ = ("_codes",)
 
     def __init__(self, letters: Iterable[tuple[int, int]] = ()):
-        reduced = _free_reduce(letters)
-        for g, s in set(reduced):  # each distinct letter once
-            if g < 0 or s not in (1, -1):
+        codes = []
+        for g, s in letters:
+            if not 0 <= g < 1 << 30 or s not in (1, -1):
                 raise ValueError(f"bad letter ({g}, {s})")
-        self._letters = reduced
+            codes.append(2 * g + (s == -1))
+        self._codes = _free_reduce(np.array(codes, dtype=np.int32))
+        self._codes.setflags(write=False)
 
     @classmethod
-    def _wrap(cls, letters: tuple[tuple[int, int], ...]) -> "FreeWord":
-        # internal: letters already freely reduced and validated
+    def _wrap(cls, codes: np.ndarray) -> "FreeWord":
+        # internal: an int32 code array, freely reduced; it becomes read-only
+        codes.setflags(write=False)
         w = object.__new__(cls)
-        w._letters = letters
+        w._codes = codes
         return w
 
     @property
+    def codes(self) -> np.ndarray:
+        """The letter codes, read-only."""
+        return self._codes
+
+    @property
     def letters(self) -> tuple[tuple[int, int], ...]:
-        return self._letters
+        """The word as (generator index, +-1) pairs, spelled from the codes."""
+        return tuple(zip((self._codes >> 1).tolist(), (1 - 2 * (self._codes & 1)).tolist()))
 
     @classmethod
     def empty(cls) -> "FreeWord":
@@ -104,27 +131,34 @@ class FreeWord:
         return cls(((g, sign),))
 
     def __len__(self) -> int:
-        return len(self._letters)
+        return len(self._codes)
 
     def __iter__(self):
         return iter(self.letters)
 
     def __bool__(self) -> bool:
-        return bool(self._letters)
+        return len(self._codes) > 0
 
     def __mul__(self, other: "FreeWord") -> "FreeWord":
-        return FreeWord(self.letters + other.letters)
+        u, v = self._codes, other._codes
+        k = _seam(u, v)
+        return FreeWord._wrap(np.concatenate((u[:len(u) - k], v[k:])))
 
     def inverse(self) -> "FreeWord":
-        return FreeWord._wrap(tuple((g, -s) for g, s in reversed(self.letters)))
+        return FreeWord._wrap(self._codes[::-1] ^ 1)
 
-    def __pow__(self, n: int) -> "FreeWord":
-        base = self if n >= 0 else self.inverse()
-        return FreeWord(base.letters * abs(n))
+    def __pow__(self, q: int) -> "FreeWord":
+        if q == 0:
+            return FreeWord.empty()
+        # w = u c u^-1 with c cyclically reduced, so w^q = u c^q u^-1, reduced as written
+        w = self._codes if q > 0 else self._codes[::-1] ^ 1
+        n = len(w)
+        k = _seam(w[n - n // 2:], w[: n // 2])
+        return FreeWord._wrap(np.concatenate((w[:k], np.tile(w[k:n - k], abs(q)), w[n - k:])))
 
     def max_generator(self) -> int:
         """Largest generator index used, or -1 for the empty word."""
-        return max(set(self.letters), default=(-1, 0))[0]
+        return int(self._codes.max()) >> 1 if len(self._codes) else -1
 
     def map_letters(self, image: Mapping[tuple[int, int], tuple[tuple[int, int], ...]]) -> "FreeWord":
         """Substitute each letter by its image's letters: one join, then one reduction."""
@@ -133,19 +167,30 @@ class FreeWord:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FreeWord):
             return NotImplemented
-        return self.letters == other.letters
+        return np.array_equal(self._codes, other._codes)
 
     def __hash__(self) -> int:
         return hash(self.letters)
 
     def format(self, names: Sequence[str]) -> str:
-        if not self.letters:
-            return "1"
-        return " ".join(n if s == 1 else f"{n}^-1" for n, s in ((names[g], s) for g, s in self.letters))
+        spellings = [text for name in names for text in (name, f"{name}^-1")]  # indexed by letter code
+        return " ".join([spellings[c] for c in self._codes.tolist()]) if self else "1"
 
     def __repr__(self) -> str:
         return f"FreeWord({self.letters})"
 
+
+def _substitute(codes: np.ndarray, table: Sequence[np.ndarray]) -> np.ndarray:
+    """The images ``table[c]`` of the letters c of ``codes``, joined and not
+    reduced: one gather from the concatenated table."""
+    lengths = np.array([len(image) for image in table])
+    sizes = lengths[codes]
+    starts = np.cumsum(lengths) - lengths  # of each code's image in the joined table
+    firsts = np.cumsum(sizes) - sizes  # of each letter's image in the output
+    return np.concatenate(table)[np.repeat(starts[codes] - firsts, sizes) + np.arange(sizes.sum())]
+
+
+_GATHER = 1 << 16  # entries per Reidemeister-Schreier gather, to bound its temporaries
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
@@ -240,13 +285,12 @@ def parse_presentation(text: str) -> Presentation:
     if tokens[i] != "|":
         raise _syntax_error(text, i, f"expected '|', found {tokens[i]!r}")
     i += 1
-    # one (letter, inverse) pair of tuples per name: letters compare by identity
-    letter = {name: ((g, 1), (g, -1)) for name, g in index.items()}
+    letter = {name: (2 * g, 2 * g + 1) for name, g in index.items()}  # (letter, inverse) codes
     relators: list[FreeWord] = []
     count = 0  # letters of the presentation so far, capped like a matrix
     cap = -1  # the first term reads the cap through check_entry_count
     while tokens[i] != ">" or relators:  # '>' may close an empty list, but not follow a ','
-        out: list[tuple[int, int]] = []  # the relator so far, freely reduced
+        out: list[int] = []  # the relator's codes so far, freely reduced
         start = i
         while True:
             pair = letter.get(tokens[i])
@@ -270,18 +314,18 @@ def parse_presentation(text: str) -> Presentation:
                 check_entry_count(count, "presentation")
                 cap = entry_cap()
             x, inverse = pair
-            while exponent and out and out[-1] is inverse:
+            while exponent and out and out[-1] == inverse:
                 out.pop()
                 exponent -= 1
             if exponent == 1:
                 out.append(x)
             elif exponent:
-                out += (x,) * exponent
+                out += [x] * exponent
         if _IDENT_RE.fullmatch(tokens[i]):
             raise _syntax_error(text, i, f"unknown generator {tokens[i]!r}")
         if i == start:
             raise _syntax_error(text, i, "expected a word")
-        relators.append(FreeWord._wrap(tuple(out)))
+        relators.append(FreeWord._wrap(np.array(out, dtype=np.int32)))
         if tokens[i] != ",":
             break
         i += 1
@@ -300,7 +344,8 @@ def fox_derivative(word: FreeWord, j: int) -> tuple[tuple[int, int], ...]:
     a positive occurrence of a_j contributes + (prefix before it); a
     negative occurrence contributes - (prefix including it).
     """
-    return tuple((s, k if s == 1 else k + 1) for k, (g, s) in enumerate(word.letters) if g == j)
+    a, b = 2 * j, 2 * j + 1  # the codes of a_j and a_j^-1
+    return tuple([(1, k) if c == a else (-1, k + 1) for k, c in enumerate(word.codes.tolist()) if c == a or c == b])
 
 
 @dataclass(frozen=True)
@@ -341,9 +386,10 @@ def exponent_sum_matrix(pres: Presentation, p: int) -> FpMatrix:
     check_entry_count(n * m, "matrix")  # before allocating: a refused matrix costs no memory
     a = np.zeros((n, m), dtype=np.int64)
     for i, rel in enumerate(pres.relators):
-        for (g, s), k in Counter(rel.letters).items():
-            a[g, i] += s * k
-    return FpMatrix(n, m, a.ravel(), p)
+        counts = np.bincount(rel.codes, minlength=2 * n)  # of a_g at 2g, of its inverse at 2g + 1
+        a[:, i] = counts[0::2] - counts[1::2]
+    a %= p
+    return FpMatrix._wrap(a, p)
 
 
 def complex_summary(pres: Presentation, p: int) -> ComplexSummary:
@@ -367,29 +413,26 @@ def normalize_presentation(pres: Presentation, p: int) -> Presentation:
     """
     boundary = exponent_sum_matrix(pres, p)
     snf = fpexact.smith_normal_form(boundary)
-    relators = list(pres.relators)
+    relators, n = list(pres.relators), pres.n_generators
     for op in snf.right_ops:
         if op.kind == "S":
             relators[op.i], relators[op.j] = relators[op.j], relators[op.i]
-        else:  # r_i -> r_i r_j^q with 0 < q < p: one join, one reduction
+        else:  # r_i -> r_i r_j^q with 0 < q < p: the factors cancel only where they meet
             check_entry_count(len(relators[op.i]) + op.q * len(relators[op.j]), "presentation")
-            relators[op.i] = FreeWord(relators[op.i].letters + relators[op.j].letters * op.q)
-    image = {(g, s): ((g, s),) for g in range(pres.n_generators) for s in (1, -1)}
+            relators[op.i] = relators[op.i] * relators[op.j] ** op.q
     for op in snf.left_ops:
-        i, j = op.i, op.j
+        i, j, q = op.i, op.j, op.q
         if op.kind == "S":  # a permutation of letters: reduced words stay reduced
-            image[i, 1], image[i, -1], image[j, 1], image[j, -1] = ((j, 1),), ((j, -1),), ((i, 1),), ((i, -1),)
-            relators = [FreeWord._wrap(tuple(itertools.chain.from_iterable(map(image.__getitem__, w.letters))))
-                        for w in relators]
-        else:  # a_i -> a_i a_j^q
-            positive = ((i, 1),) + ((j, 1),) * op.q
-            image[i, 1], image[i, -1] = positive, tuple((g, -s) for g, s in reversed(positive))
+            perm = np.arange(2 * n, dtype=np.int32)
+            perm[[2 * i, 2 * i + 1, 2 * j, 2 * j + 1]] = 2 * j, 2 * j + 1, 2 * i, 2 * i + 1
+            relators = [FreeWord._wrap(perm[w.codes]) for w in relators]
+        else:  # a_i -> a_i a_j^q, so a_i^-1 -> a_j^-q a_i^-1
             for w in relators:  # each a_i^+-1 becomes 1 + q letters
-                occurrences = w.letters.count((i, 1)) + w.letters.count((i, -1))
-                check_entry_count(len(w) + op.q * occurrences, "presentation")
-            relators = [w.map_letters(image) for w in relators]
-        for letter in ((i, 1), (i, -1), (j, 1), (j, -1)):  # back to the identity
-            image[letter] = (letter,)
+                check_entry_count(len(w) + q * int(np.count_nonzero(w.codes >> 1 == i)), "presentation")
+            table = [np.array([c], dtype=np.int32) for c in range(2 * n)]  # letter code -> image codes
+            table[2 * i] = np.array([2 * i] + [2 * j] * q, dtype=np.int32)
+            table[2 * i + 1] = table[2 * i][::-1] ^ 1
+            relators = [FreeWord._wrap(_free_reduce(_substitute(w.codes, table))) for w in relators]
     result = Presentation(pres.generator_names, tuple(relators))
     expected = fpexact.block_diagonal(snf.diagonal, boundary.rows, boundary.cols, p)
     if exponent_sum_matrix(result, p) != expected:
@@ -406,34 +449,33 @@ def reidemeister_schreier(pres: Presentation, hom) -> Presentation:
     is freely trivial exactly when its letter is a tree edge, so the
     kernel generators are ``hom.schreier_generators``, the pairs off the
     tree, named ``<generator>_<coset>``; each relator contributes one
-    rewritten copy per coset (relator-major order).
+    rewritten copy per coset (relator-major order).  Every copy of a
+    relator comes from one gather over the cosets, in chunks of at most
+    ``_GATHER`` entries; the index times the relators' letters, which the
+    gathers read, is checked against the entry cap first.
     """
     if hom.source is not pres and hom.source.to_text() != pres.to_text():
         raise ValueError("homomorphism was built from a different presentation")
-    n = pres.n_generators
-    act = hom.letter_action
-    position = hom.position.tolist()
-    up = [[position[act[1][j][x]] for j in range(n)] for x in hom.cosets]
-    down = [[position[act[-1][j][x]] for j in range(n)] for x in hom.cosets]
-    gen_id: list[list[int | None]] = [[None] * n for _ in hom.cosets]
-    for k, (c, j) in enumerate(hom.schreier_generators):
-        gen_id[c][j] = k
+    k = hom.image_order
+    check_entry_count(k * sum(len(w) for w in pres.relators), "Reidemeister-Schreier rewrite")
+    K = np.array(hom.cosets)
+    gen_id = np.full((k, pres.n_generators), -1)  # [coset, generator] -> kernel generator, -1 on the tree
+    c, j = np.array(hom.schreier_generators, dtype=np.int64).reshape(-1, 2).T
+    gen_id[c, j] = np.arange(len(c))
     names = tuple(f"{pres.generator_names[j]}_{c}" for c, j in hom.schreier_generators)
-
-    def rewrite(word: FreeWord, c: int) -> FreeWord:
-        out: list[tuple[int, int]] = []
-        for j, s in word.letters:
-            if s == -1:
-                c = down[c][j]
-            k = gen_id[c][j]
-            if k is not None:
-                out.append((k, s))
-            if s == 1:
-                c = up[c][j]
-        # already reduced: between two kept letters lie only tree letters, and a
-        # reduced closed path in a tree is empty, so two kept letters that cancel
-        # would be adjacent, and cancelling, in the reduced input word
-        return FreeWord._wrap(tuple(out))
-
-    relators = tuple(rewrite(rel, c) for rel in pres.relators for c in range(len(hom.cosets)))
-    return Presentation(names, relators)
+    relators = []
+    for rel in pres.relators:
+        # letter t = a_g^+-1, read from coset x, crosses the edge a_g at x P, where P is
+        # the image of its prefix, or of the prefix ending with it for an inverse
+        neg = rel.codes & 1
+        crossed = np.array(hom.prefix_images(rel))[np.arange(len(rel)) + neg]
+        rows = max(1, _GATHER // max(len(rel), 1))  # cosets per gather
+        for first in range(0, k, rows):
+            ids = gen_id[hom.position[hom.group.op(K[first:first + rows, None], crossed)], rel.codes >> 1]
+            kept = ids >= 0
+            # already reduced: between two kept letters lie only tree letters, and a
+            # reduced closed path in a tree is empty, so two kept letters that cancel
+            # would be adjacent, and cancelling, in the reduced input word
+            words = np.split((2 * ids + neg)[kept].astype(np.int32), np.cumsum(kept.sum(axis=1))[:-1])
+            relators += map(FreeWord._wrap, words)
+    return Presentation(names, tuple(relators))

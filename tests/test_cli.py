@@ -294,6 +294,18 @@ class TestIterate:
         assert payload["truncated"] is False
 
 
+    def test_rewrite_too_long_is_a_truncation(self, tmp_path, capsys):
+        # the kernel's exponent matrix (1,875,530 entries) is under the cap, but
+        # the rewrite of 1,369 cosets times 3,999,996 letters is not
+        pres = tmp_path / "long.pres"
+        pres.write_text("< a, b | a^3999996 >\n")
+        code, out, _ = run_cli(["iterate", "--pres", str(pres), "--p", "37", "--steps", "1"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["stages"] == [{"index": 1, "b1": 2, "generators": 2, "relators": 1}]
+        assert payload["truncated"] is True
+        assert payload["reason"].startswith("Reidemeister-Schreier rewrite needs 5475994524 entries, above the cap of")
+
     def test_stage_too_large_to_print(self, tmp_path, capsys):
         pres = tmp_path / "free.pres"
         pres.write_text("< " + ", ".join(f"g{i}" for i in range(10000)) + " | >\n")

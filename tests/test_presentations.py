@@ -1,10 +1,11 @@
 import time
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from hcc import corpus, fpexact
+from hcc import corpus, fpexact, presentations
 from hcc.covers import Homomorphism
 from hcc.fpexact import CapExceededError, block_diagonal, smith_normal_form
 from hcc.groupring import GroupRingElement, make_cyclic, make_elementary_abelian, ring_mul
@@ -20,6 +21,7 @@ from hcc.presentations import (
     reidemeister_schreier,
 )
 from test_covers import random_case
+from test_groupring import PROFILE_GROUPS
 
 
 class TestFreeWord:
@@ -661,3 +663,140 @@ class TestReidemeisterSchreier:
             assert cover.b1 == cover.b0 * complex_summary(kernel, p).b1, (pres, hom, p)
             components.add(cover.b0)
         assert len(components) > 1
+
+
+def reduce_pairs(letters):
+    """Free reduction of (generator, sign) pairs, one letter at a time."""
+    out = []
+    for g, s in letters:
+        if out and out[-1] == (g, -s):
+            out.pop()
+        else:
+            out.append((g, s))
+    return tuple(out)
+
+
+def random_letters(rng, n, length):
+    return [(int(rng.integers(0, n)), int(rng.choice([1, -1]))) for _ in range(length)]
+
+
+def inverse_pairs(letters):
+    return tuple((g, -s) for g, s in reversed(letters))
+
+
+class TestLetterCodes:
+    """Words stored as int32 letter codes against pair-based references."""
+
+    def test_codes_spell_the_letters(self):
+        rng = np.random.default_rng(2026102001)
+        for _ in range(300):
+            letters = random_letters(rng, 3, int(rng.integers(0, 30)))
+            w, expected = FreeWord(letters), reduce_pairs(letters)
+            assert w.letters == expected and list(w) == list(expected) and len(w) == len(expected)
+            assert w.codes.tolist() == [2 * g + (s == -1) for g, s in expected]
+            assert w.codes.dtype == np.int32 and not w.codes.flags.writeable
+            assert hash(w) == hash(expected) == hash(FreeWord(expected))
+            assert w.max_generator() == max((g for g, _ in expected), default=-1)
+            v = FreeWord(random_letters(rng, 2, int(rng.integers(0, 4))))
+            assert (w == v) == (w.letters == v.letters) and (w == FreeWord(expected))
+        for bad in ([(-1, 1)], [(0, 2)], [(0, 0)], [(1 << 30, 1)]):
+            with pytest.raises(ValueError, match="bad letter"):
+                FreeWord(bad)
+
+    def test_products_and_powers_against_letter_by_letter_reduction(self):
+        rng = np.random.default_rng(2026102002)
+        for _ in range(300):
+            u = FreeWord(random_letters(rng, 2, int(rng.integers(0, 9))))
+            # conjugates, so powers cancel cyclically and products at long seams
+            t = FreeWord(random_letters(rng, 3, int(rng.integers(0, 5))))
+            v = t * FreeWord(random_letters(rng, 3, int(rng.integers(0, 4)))) * t.inverse()
+            for x, y in ((u, v), (v, u), (v, v.inverse()), (u, u), (v.inverse(), v * u)):
+                assert (x * y).letters == reduce_pairs(x.letters + y.letters)
+            assert u.inverse().letters == inverse_pairs(u.letters)
+            for w in (u, v):
+                for q in range(-4, 5):
+                    base = w.letters if q >= 0 else inverse_pairs(w.letters)
+                    assert (w**q).letters == reduce_pairs(base * abs(q)), (w, q)
+                    assert not (w**q).codes.flags.writeable
+
+    def test_exponent_sums_against_counter(self):
+        rng = np.random.default_rng(2026102003)
+        for p in (2, 3, 7, 1009):
+            for _ in range(20):
+                n, m = int(rng.integers(1, 5)), int(rng.integers(0, 5))
+                relators = tuple(FreeWord(random_letters(rng, n, int(rng.integers(0, 60)))) for _ in range(m))
+                expected = [[0] * m for _ in range(n)]
+                for i, w in enumerate(relators):
+                    for (g, s), k in Counter(w.letters).items():
+                        expected[g][i] += s * k
+                pres = Presentation(tuple(f"g{j}" for j in range(n)), relators)
+                assert exponent_sum_matrix(pres, p).to_rows() == [[e % p for e in row] for row in expected]
+
+    def test_fox_derivative_against_the_pair_comprehension(self):
+        rng = np.random.default_rng(2026102004)
+        for _ in range(200):
+            n = int(rng.integers(1, 4))
+            w = FreeWord(random_letters(rng, n, int(rng.integers(0, 40))))
+            for j in range(n + 1):
+                expected = tuple((s, k if s == 1 else k + 1) for k, (g, s) in enumerate(w.letters) if g == j)
+                assert fox_derivative(w, j) == expected
+
+    def test_text_round_trip(self):
+        rng = np.random.default_rng(2026102005)
+        names = ("a", "bb", "x_1", "Y")
+        for _ in range(200):
+            n = int(rng.integers(1, 5))
+            m = int(rng.integers(0, 4))
+            relators = [FreeWord(random_letters(rng, n, int(rng.integers(1, 20)))) for _ in range(m)]
+            pres = Presentation(names[:n], tuple(w for w in relators if w))
+            assert parse_presentation(pres.to_text()) == pres
+            for w in pres.relators:
+                assert w.format(pres.generator_names) == " ".join(
+                    names[g] if s == 1 else f"{names[g]}^-1" for g, s in w.letters)
+        assert FreeWord.empty().format(names) == "1"
+
+    def test_rewrite_against_the_word_reference(self):
+        # abelian, cyclic and non-abelian targets, onto and not onto
+        rng = np.random.default_rng(2026102006)
+        groups = [make_elementary_abelian(2, 2), make_cyclic(5)] + [PROFILE_GROUPS[k] for k in ("S3", "D4", "Q8")]
+        for group in groups:
+            for _ in range(12):
+                pres, hom, _ = random_case(rng, group)
+                check_against_reference(pres, hom)
+
+    def test_chunked_gather(self, monkeypatch):
+        # a few cosets per gather, and one coset per gather for relators
+        # longer than the bound, give the kernel of one gather
+        rng = np.random.default_rng(2026102007)
+        cases = [random_case(rng, PROFILE_GROUPS[k])[:2] for k in ("S3", "D4", "Q8") for _ in range(10)]
+        whole = [reidemeister_schreier(pres, hom) for pres, hom in cases]
+        monkeypatch.setattr(presentations, "_GATHER", 7)
+        assert [reidemeister_schreier(pres, hom) for pres, hom in cases] == whole
+        for pres, hom in cases[::5]:
+            check_against_reference(pres, hom)
+
+    def test_rewrite_letters_are_capped(self):
+        # index 4 times 12 letters; the rewrite is refused before any gather
+        pres = parse_presentation("< a, b | a^4 b^-4 a^2 b^2 >")
+        group = make_elementary_abelian(2, 2)
+        hom = Homomorphism(pres, group, [1, 2])
+        old = fpexact.entry_cap()
+        try:
+            fpexact.set_entry_cap(47)
+            message = "^Reidemeister-Schreier rewrite needs 48 entries, above the cap of 47"
+            with pytest.raises(CapExceededError, match=message):
+                reidemeister_schreier(pres, hom)
+            fpexact.set_entry_cap(48)
+            assert reidemeister_schreier(pres, hom).n_relators == 4
+        finally:
+            fpexact.set_entry_cap(old)
+
+    def test_normalize_long_substitution(self):
+        # a -> a b^503 at p = 1009 spells about half a million letters, and
+        # the refused product at p = 1048573 about 2.6 million
+        pres = parse_presentation("< a, b | a^2 b^3, a^5 b^7 >")
+        norm = normalize_presentation(pres, 1009)
+        assert [len(w) for w in norm.relators] == [1011, 510049]
+        assert norm == reference_normalize(pres, 1009)
+        with pytest.raises(CapExceededError, match="^presentation needs 549753716737 entries, above the cap"):
+            normalize_presentation(pres, 1048573)
