@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Kernel rows: the heaviest rank of the ``covers`` workload and the word
-layers of the ``relators`` workload, each measured alone.
+"""Kernel rows: the heaviest rank of the ``covers`` workload, the word
+layers of the ``relators`` workload and one filtration profile, each
+measured alone.
 
 Rebuilds a block of the shape of the ``covers`` workload's heaviest one
 from its own seeded presentation: three 32-letter commutator relators on
@@ -16,15 +17,19 @@ as text, mapped onto (Z3)^2.  Each row is named after its layer in
 * ``presentations.parse_presentation`` -- parsing the 9,000-letter text;
 * ``presentations.reidemeister_schreier`` -- the rewrite of that
   presentation along its map onto (Z3)^2: 27 relators on 19 generators;
-* ``presentations.complex_summary`` -- the mod-3 homology of that kernel.
+* ``presentations.complex_summary`` -- the mod-3 homology of that kernel;
+* ``groupring.filtration_profile`` -- the profile of F_3[S3 x (Z2)^8]
+  (|H| = 1536), computed afresh on every call: the dims cache is emptied
+  and the table's cached hash dropped first.
 
 A row records the median and interquartile range of ``--reps`` timed
 calls after one warm-up call, the tracemalloc peak of one more call, and
 the answer with its digest (the block's bytes and its rank; the cover's
-Betti numbers).  A run records the machine, the versions, the git commit
-(``git describe --dirty``, so a run on uncommitted changes reads
-``<commit>-dirty``) and a digest of ``src/hcc``, and replaces the run of the
-same ``--label`` in ``BENCH_kernels.json`` at the repository root.
+Betti numbers; the profile's dimensions).  A run records the machine, the
+versions, the git commit (``git describe --dirty``, so a run on
+uncommitted changes reads ``<commit>-dirty``) and a digest of ``src/hcc``,
+and replaces the run of the same ``--label`` in ``BENCH_kernels.json`` at
+the repository root.
 ``tests/test_covers.py`` loads this file for ``heavy_cover``.
 
     python3 perf/kernels.py --label parent --reps 15   # record a run
@@ -38,6 +43,7 @@ from __future__ import annotations
 import argparse
 import glob
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -52,9 +58,9 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import numpy as np  # noqa: E402
 
-from hcc import fpexact  # noqa: E402
+from hcc import fpexact, groupring  # noqa: E402
 from hcc.covers import Homomorphism, build_cover  # noqa: E402
-from hcc.groupring import make_elementary_abelian  # noqa: E402
+from hcc.groupring import OrderedGroup, make_elementary_abelian, make_product  # noqa: E402
 from hcc.presentations import (  # noqa: E402
     FreeWord,
     Presentation,
@@ -67,7 +73,8 @@ OUT = os.path.join(ROOT, "BENCH_kernels.json")
 EXPECTED = {"fpexact.rank": "38d5242c5761dd25", "covers.build_cover": "6049a0d1d60c853e",
             "presentations.parse_presentation": "4ab8021ae9fa17da",
             "presentations.reidemeister_schreier": "fc58dc1f5b7db128",
-            "presentations.complex_summary": "9361aa30680a8d4a"}
+            "presentations.complex_summary": "9361aa30680a8d4a",
+            "groupring.filtration_profile": "522ca6961637b157"}
 
 
 def commutator_relator(rng: random.Random, n: int, length: int) -> FreeWord:
@@ -100,6 +107,20 @@ def long_text() -> str:
                                       for w in relators) + " >"
 
 
+def s3_times_ea() -> OrderedGroup:
+    """S3 x (Z2)^8, whose elements are all products of 3'-elements."""
+    perms = list(itertools.permutations(range(3)))
+    s3 = OrderedGroup([[perms.index(tuple(a[i] for i in b)) for b in perms] for a in perms], label="S3")
+    return make_product(s3, make_elementary_abelian(2, 8))
+
+
+def fresh_profile(p: int, group: OrderedGroup) -> groupring.FiltrationProfile:
+    """The profile computed afresh, not read from the dims cache."""
+    groupring._PROFILE_CACHE.clear()
+    group.__dict__.pop("table_hash", None)
+    return groupring.filtration_profile(p, group)
+
+
 def words_digest(pres: Presentation) -> dict:
     """Counts, and a digest of every relator's letters."""
     h = hashlib.sha256(json.dumps([pres.generator_names, [w.letters for w in pres.relators]]).encode())
@@ -128,6 +149,7 @@ def kernels():
     z3 = make_elementary_abelian(3, 2)
     onto = Homomorphism(words, z3, [z3.ea_index[t] for t in ((1, 0), (0, 1), (1, 1))])
     kernel = reidemeister_schreier(words, onto)
+    big = s3_times_ea()
     return [
         ("fpexact.rank", lambda: fpexact.rank(block),
          lambda r: {"shape": [block.rows, block.cols], "p": block.p, "block_sha256": block_sha, "rank": r}),
@@ -137,6 +159,8 @@ def kernels():
         ("presentations.reidemeister_schreier", lambda: reidemeister_schreier(words, onto), words_digest),
         ("presentations.complex_summary", lambda: complex_summary(kernel, 3),
          lambda s: {"b1": s.b1, "b2": s.b2, "rank": s.rank}),
+        ("groupring.filtration_profile", lambda: fresh_profile(3, big),
+         lambda f: {"order": f.group.size, "p": f.p, "delta_dims": list(f.delta_dims)}),
     ]
 
 

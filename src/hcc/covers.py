@@ -124,12 +124,14 @@ class Homomorphism:
     def __setattr__(self, name, value):
         raise AttributeError("Homomorphism is immutable")
 
+    def _columns(self) -> list[list[int]]:
+        """The ``letter_action`` columns indexed by letter code."""
+        return [column for pair in zip(self.letter_action[1], self.letter_action[-1]) for column in pair]
+
     def prefix_images(self, word: FreeWord) -> list[int]:
         """Images of the prefixes of a free word, in one walk: entry k is
         the index of the image of its first k letters."""
-        act = self.letter_action
-        columns = [column for pair in zip(act[1], act[-1]) for column in pair]  # indexed by letter code
-        x = self.group.identity_index
+        columns, x = self._columns(), self.group.identity_index
         out = [x]
         for c in word.codes.tolist():
             x = columns[c][x]
@@ -137,8 +139,12 @@ class Homomorphism:
         return out
 
     def word_image(self, word: FreeWord) -> int:
-        """Index of the image of a free word in the target group."""
-        return self.prefix_images(word)[-1]
+        """Index of the image of a free word in the target group: the same
+        walk as ``prefix_images``, keeping only the running element."""
+        columns, x = self._columns(), self.group.identity_index
+        for c in word.codes.tolist():
+            x = columns[c][x]
+        return x
 
     def __repr__(self) -> str:
         pairs = ", ".join(

@@ -11,25 +11,27 @@ from one greedy walk, ``OrderedGroup._walk``.
 
 The augmentation map sums coefficients; its kernel is the augmentation
 ideal I.  The dimension profile of its powers (with the jumps between
-consecutive powers) comes from one of two exact paths, chosen by the
-multiplication table alone:
+consecutive powers) comes from one identity, for every group H:
 
-- The p-elements of H are P = {g : g^(p^a) = e}, with p^a the p-part of
-  |H|, and its p'-elements are Q = {g : g^(|H|/p^a) = e}, each read off
-  one ``OrderedGroup.power`` array.  When P and Q are both closed under
-  the product and |P||Q| = |H|, then H = P x Q.  Lazard's recursion
-  D_1 = P, D_k = [D_{k-1}, P] D_{ceil(k/p)}^p gives the dimension
-  subgroups of P, each the walk's mask over its commutators and p-th
-  powers.  Jennings' theorem gives the jumps of F_p[P] as the
+- N = O^p(H) is the subgroup generated by the p'-elements, the
+  g with g^m = e for m the p'-part of |H| (one ``OrderedGroup.power``
+  array and one walk).  It is normal, and H/N is the largest p-group
+  quotient of H.  A p'-element g is h^(p^j) for some h in <g> and every
+  j, so g - 1 = (h - 1)^(p^j) lies in every power of I; so does the
+  kernel I_N F_p[H] of F_p[H] -> F_p[H/N], and
+  dim I_H^k = |H| - |H/N| + dim I_{H/N}^k for k >= 1.
+- H/N is a p-group, so Jennings' theorem gives its jumps as the
   coefficients of prod_k (1 + t^k + ... + t^{k(p-1)})^{d_k}, with
-  d_k = log_p |D_k / D_{k+1}|.  Then dim I_H^k = dim I_P^k + |P|(|Q| - 1)
-  for k >= 1.
-- Every other group spans each power with products of
-  ``delta_g - delta_e`` factors and row-reduces.
+  d_k = log_p |D~_k / D~_{k+1}|.  Lazard's recursion, run in H with N in
+  every seed, D~_1 = H, D~_k = [D~_{k-1}, H] D~_{ceil(k/p)}^p N, gives
+  the preimages D~_k of the dimension subgroups of H/N, each the walk's
+  mask over N's generators, its commutators and p-th powers.
 
-Membership in a power reads per-level echelon bases from the second path.
-They are built on a profile's first ``FiltrationProfile.contains`` call and
-kept on that profile alone, so they are freed with it.
+Membership in a power reads per-level echelon bases found by elimination
+(``_level_bases``, which the tests and ``selfcheck`` also use as the
+profile's independent oracle).  They are built on a profile's first
+``FiltrationProfile.contains`` call and kept on that profile alone, so they
+are freed with it.
 
 ``make_elementary_abelian`` and ``make_cyclic`` build their tables with array
 operations alone, and their groups' names and tuples on first read.
@@ -242,7 +244,7 @@ class OrderedGroup:
     @cached_property
     def table_hash(self) -> str:
         h = hashlib.sha256(str(self.size).encode())
-        h.update(np.ascontiguousarray(self.mult).tobytes())
+        h.update(np.ascontiguousarray(self.mult).data)  # hashes the buffer; no copy
         return h.hexdigest()
 
     def __repr__(self) -> str:
@@ -467,8 +469,8 @@ class FiltrationProfile:
     the first k with equal consecutive dimensions (``stabilization_k``);
     powers are nested, so equal dimensions there mean equal subspaces and
     the filtration is constant afterwards.  ``nilpotent`` records whether
-    the dimensions reach 0.  The module docstring says which path computes
-    them; ``contains`` reads echelon bases that its first call builds and
+    the dimensions reach 0.  The module docstring says how they are
+    computed; ``contains`` reads echelon bases that its first call builds and
     the profile keeps (``_bases``), so they are freed with it.
     """
 
@@ -539,44 +541,40 @@ def _level_bases(p: int, group: OrderedGroup) -> Iterator[tuple[np.ndarray, tupl
         current = basis
 
 
-def _jennings_dims(p: int, group: OrderedGroup) -> list[int] | None:
-    """The dimensions ``_level_bases`` finds, from the Jennings series (see
-    the module docstring) when the group is P x Q; None for any other group.
-    |Q| is prime to p, so I_Q = I_Q^2 and F_p[H] = F_p[P] (x) F_p[Q] add
-    |P|(|Q| - 1) to each dim I_P^k with k >= 1."""
+def _jennings_dims(p: int, group: OrderedGroup) -> list[int]:
+    """The dimensions ``_level_bases`` finds, from the Jennings series of
+    H/N with N = O^p(H) (see the module docstring), for every group."""
     op, inv, e, n = group.op, group.inverse, group.identity_index, group.size
     p_part = 1
     while n % (p_part * p) == 0:
         p_part *= p
-    in_p, in_q, pth = group.power(p_part) == e, group.power(n // p_part) == e, group.power(p)
-    ps, qs = np.flatnonzero(in_p), np.flatnonzero(in_q)
-    if len(ps) * len(qs) != n or not (in_p[op(ps[:, None], ps)].all() and in_q[op(qs[:, None], qs)].all()):
-        return None
+    in_n, n_gens = group._walk(np.flatnonzero(group.power(n // p_part) == e).tolist())  # N, from the p'-elements
+    order_n, pth = int(in_n.sum()), group.power(p)
 
-    # [A, P] for A normal is generated by the [a, s] with s in a generating
-    # set of H: [a, xs] = [a, s][a, x][[a, x], s], and Q commutes with P
+    # [A, H] for A normal is generated by the [a, s] with s in a generating
+    # set of H: [a, xs] = [a, s][a, x][[a, x], s]
     gens = np.array(group.generating_set(), dtype=np.int64)
-    series, step = [in_p], {}  # series[k - 1] is the mask of D_k
-    while series[-1].sum() > 1:
+    series, step = [np.ones(n, dtype=bool)], {}  # series[k - 1] is the mask of D~_k
+    while series[-1].sum() > order_n:
         k = len(series) + 1
         prev, lower = series[k - 2], series[-(-k // p) - 1]
         key = (prev.tobytes(), lower.tobytes())
         if key not in step:
             a = np.flatnonzero(prev)[:, None]
             commutators = op(op(inv(a), inv(gens)), op(a, gens))
-            step[key] = group._walk(commutators.ravel().tolist() + pth[lower].tolist())[0]
+            step[key] = group._walk(n_gens + commutators.ravel().tolist() + pth[lower].tolist())[0]
         series.append(step[key])
     lam = np.ones(1, dtype=np.int64)
     for k, (big, small) in enumerate(zip(series, series[1:]), start=1):
         ratio = int(big.sum()) // int(small.sum())
-        while ratio > 1:  # one factor per F_p-dimension of D_k / D_{k+1}
+        while ratio > 1:  # one factor per F_p-dimension of D~_k / D~_{k+1}
             ratio //= p
             grown = np.zeros(len(lam) + k * (p - 1), dtype=np.int64)
             for i in range(p):
                 grown[i * k : i * k + len(lam)] += lam
             lam = grown
-    dims_p = [int(x) for x in np.cumsum(lam[::-1])[::-1]] + [0]
-    rest = n - len(ps)  # |P| (|Q| - 1)
+    dims_p = [int(x) for x in np.cumsum(lam[::-1])[::-1]] + [0]  # of F_p[H/N]
+    rest = n - n // order_n  # |H| - |H/N|
     return dims_p if rest == 0 else [n] + [d + rest for d in dims_p[1:]] + [rest]
 
 
@@ -598,9 +596,9 @@ def filtration_profile(p: int, group: OrderedGroup) -> FiltrationProfile:
     cache holds it only weakly: no group outlives its callers, and a caller
     still holding a profile gets that same object back.
 
-    The dimensions come from the Jennings series when the group is the
-    direct product of its p-elements and its p'-elements, and from
-    elimination otherwise; the table alone decides.  The filtration always
+    The dimensions come from the Jennings series of H/N, N = O^p(H), and
+    dim I_H^k = |H| - |H/N| + dim I_{H/N}^k for k >= 1 (see the module
+    docstring); every table takes this one path.  The filtration always
     stabilizes within ``|group|`` steps, so the profile holds every level
     up to ``stabilization_k``.
     """
@@ -610,7 +608,7 @@ def filtration_profile(p: int, group: OrderedGroup) -> FiltrationProfile:
     profile = last() if last else None
     if profile is None or profile.group is not group:
         if dims is None:
-            dims = tuple(_jennings_dims(p, group) or (len(pivots) for _, pivots in _level_bases(p, group)))
+            dims = tuple(_jennings_dims(p, group))
         profile = _profile(p, group, dims)
         _PROFILE_CACHE[key] = (dims, weakref.ref(profile))
     return profile

@@ -580,8 +580,9 @@ def elimination_calls(monkeypatch):
     return calls
 
 
-def random_nilpotent_product(rng):
-    """A p-group times a p'-group, for a random prime p."""
+def random_product(rng):
+    """A p-group times a p'-group or one of S3, A4 and D5, which are not
+    nilpotent, for a random prime p."""
     p = int(rng.choice([2, 3, 5, 7]))
     p_groups = [make_cyclic(p ** int(rng.integers(0, 4 if p < 5 else 3)))]
     p_groups.append(make_elementary_abelian(p, int(rng.integers(1, 6 if p == 2 else 3))))
@@ -592,6 +593,9 @@ def random_nilpotent_product(rng):
     q_groups = [make_cyclic(m) for m in range(1, 8) if m % p]
     if p >= 5:
         q_groups.append(PROFILE_GROUPS["S3"])
+    if rng.random() < 0.5:  # p-groups of order <= 16 keep the elimination oracle within about 0.1 s
+        p_groups = [g for g in p_groups if g.size <= 16] or [make_cyclic(p)]
+        q_groups = [PROFILE_GROUPS[name] for name in ("S3", "A4", "D5")]
     a = p_groups[rng.integers(len(p_groups))]
     b = q_groups[rng.integers(len(q_groups))]
     return p, relabelled(make_product(a, b), rng)
@@ -600,7 +604,7 @@ def random_nilpotent_product(rng):
 def test_jennings_profile_matches_elimination_on_random_products(elimination_calls):
     rng = np.random.default_rng(20261018)
     for _ in range(40):
-        p, group = random_nilpotent_product(rng)
+        p, group = random_product(rng)
         prof = filtration_profile(p, group)
         assert not elimination_calls, (p, group.size)
         assert_eliminated_profile(prof, p, group)
@@ -635,15 +639,50 @@ def test_workload_and_corpus_groups_take_the_jennings_path(elimination_calls):
     [("S3", 2), ("S3", 3), ("A4", 2), ("A4", 3), ("D5", 2), ("S3xZ3", 3)],
 )
 def test_groups_not_nilpotent_at_p_take_the_fallback(elimination_calls, name, p):
+    """None of these is the direct product of its p-elements and its
+    p'-elements; the Jennings path equals elimination on them too."""
     group = make_product(PROFILE_GROUPS["S3"], make_cyclic(3)) if name == "S3xZ3" else PROFILE_GROUPS[name]
-    assert groupring._jennings_dims(p, group) is None
     prof = filtration_profile(p, group)
-    assert elimination_calls == [(p, group.size)]
+    assert not elimination_calls
     assert_eliminated_profile(prof, p, group)
 
 
+def affine_group(q, a):
+    """The maps x -> a^i x + b on Z_q: AGL(1, q) when ``a`` generates the units mod q."""
+    return generated_group([tuple((x + 1) % q for x in range(q)), tuple(a * x % q for x in range(q))], compose)
+
+
+def quotient_groups():
+    """Sixteen groups whose largest p-group quotients differ with p, most of them not nilpotent."""
+    s3, a4, d5 = (PROFILE_GROUPS[name] for name in ("S3", "A4", "D5"))
+    s4 = generated_group([(1, 2, 3, 0), (1, 0, 2, 3)], compose)
+    a5 = generated_group([(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)], compose)
+    d6 = generated_group([(1, 2, 3, 4, 5, 0), (5, 4, 3, 2, 1, 0)], compose)
+    return {"S3": s3, "A4": a4, "S4": s4, "A5": a5, "D4": PROFILE_GROUPS["D4"], "D5": d5, "D6": d6,
+            "F20": affine_group(5, 2), "AGL(1,7)": affine_group(7, 3), "S3xZ4": make_product(s3, make_cyclic(4)),
+            "A4xZ3": make_product(a4, make_cyclic(3)), "S3xS3": make_product(s3, s3),
+            "D6xZ2": make_product(d6, make_cyclic(2)), "S4xZ2": make_product(s4, make_cyclic(2)),
+            "Z12": make_cyclic(12), "Z18": make_cyclic(18)}
+
+
+def test_quotient_profiles_match_elimination_on_relabelled_groups(elimination_calls):
+    rng = np.random.default_rng(27)
+    groups = quotient_groups()
+    orders = [(name, g.size) for name, g in groups.items()]
+    assert orders == [("S3", 6), ("A4", 12), ("S4", 24), ("A5", 60), ("D4", 8), ("D5", 10), ("D6", 12),
+                      ("F20", 20), ("AGL(1,7)", 42), ("S3xZ4", 24), ("A4xZ3", 36), ("S3xS3", 36),
+                      ("D6xZ2", 24), ("S4xZ2", 48), ("Z12", 12), ("Z18", 18)]
+    for name, group in groups.items():
+        group = relabelled(group, rng)
+        for p in (2, 3, 5, 7):
+            prof = filtration_profile(p, group)
+            assert not elimination_calls, (name, p)
+            assert_eliminated_profile(prof, p, group)
+            elimination_calls.clear()
+
+
 def test_contains_bases_are_freed_with_the_profile():
-    # S3 x (Z2)^3 takes elimination at p = 3; only the profile keeps its bases
+    # contains builds the bases of S3 x (Z2)^3 at p = 3 by elimination; only the profile keeps them
     tracemalloc.start()
     try:
         group = make_product(PROFILE_GROUPS["S3"], make_elementary_abelian(2, 3))
@@ -660,13 +699,13 @@ def test_contains_bases_are_freed_with_the_profile():
 
 def test_contains_builds_the_bases_once_per_profile(elimination_calls):
     s3, ea = PROFILE_GROUPS["S3"], make_elementary_abelian(2, 3)
-    for p, group, dims_calls in ((3, s3, [(3, 6)]), (2, ea, [])):
+    for p, group in ((3, s3), (2, ea)):
         prof = filtration_profile(p, group)
-        assert elimination_calls == dims_calls
+        assert elimination_calls == []
         x = GroupRingElement.delta(group, p, 1) - GroupRingElement.delta(group, p, 0)
         assert prof.contains(0, x) and prof.contains(1, x)
         assert filtration_profile(p, group) is prof and prof.contains(1, x)
-        assert elimination_calls == dims_calls + [(p, group.size)]
+        assert elimination_calls == [(p, group.size)]
         elimination_calls.clear()
 
 
