@@ -24,12 +24,13 @@ as text, mapped onto (Z3)^2.  Each row is named after its layer in
 
 A row records the median and interquartile range of ``--reps`` timed
 calls after one warm-up call, the tracemalloc peak of one more call, and
-the answer with its digest (the block's bytes and its rank; the cover's
-Betti numbers; the profile's dimensions).  A run records the machine, the
-versions, the git commit (``git describe --dirty``, so a run on
-uncommitted changes reads ``<commit>-dirty``) and a digest of ``src/hcc``,
-and replaces the run of the same ``--label`` in ``BENCH_kernels.json`` at
-the repository root.
+the answer with its digest (the block's bytes, its rank and the width
+of the array ``rank`` hands ``fpexact._echelon`` for it; the cover's
+Betti numbers; the profile's dimensions).  A run records the machine,
+the versions, the git commit (``git describe --dirty``, so a run on
+uncommitted changes reads ``<commit>-dirty``) and a digest of
+``src/hcc``, and replaces the run of the same ``--label`` in
+``BENCH_kernels.json`` at the repository root.
 ``tests/test_covers.py`` loads this file for ``heavy_cover``.
 
     python3 perf/kernels.py --label parent --reps 15   # record a run
@@ -70,7 +71,7 @@ from hcc.presentations import (  # noqa: E402
 )
 
 OUT = os.path.join(ROOT, "BENCH_kernels.json")
-EXPECTED = {"fpexact.rank": "38d5242c5761dd25", "covers.build_cover": "6049a0d1d60c853e",
+EXPECTED = {"fpexact.rank": "d6a6659f9aa96a60", "covers.build_cover": "6049a0d1d60c853e",
             "presentations.parse_presentation": "4ab8021ae9fa17da",
             "presentations.reidemeister_schreier": "fc58dc1f5b7db128",
             "presentations.complex_summary": "9361aa30680a8d4a",
@@ -143,6 +144,13 @@ def kernels():
     finally:
         fpexact.rank = rank
     block = blocks[0]
+    widths = []
+    echelon = fpexact._echelon
+    fpexact._echelon = lambda a, p: widths.append(a.dtype.name) or echelon(a, p)  # the width rank eliminates in
+    try:
+        fpexact.rank(block)
+    finally:
+        fpexact._echelon = echelon
     block_sha = hashlib.sha256(block.array.astype(np.int64).tobytes()).hexdigest()[:16]
     text = long_text()
     words = parse_presentation(text)
@@ -152,7 +160,8 @@ def kernels():
     big = s3_times_ea()
     return [
         ("fpexact.rank", lambda: fpexact.rank(block),
-         lambda r: {"shape": [block.rows, block.cols], "p": block.p, "block_sha256": block_sha, "rank": r}),
+         lambda r: {"shape": [block.rows, block.cols], "p": block.p, "block_sha256": block_sha, "rank": r,
+                    "width": widths[0]}),
         ("covers.build_cover", lambda: build_cover(pres, hom, 7),
          lambda c: {"b0": c.b0, "b1": c.b1, "b2": c.b2}),
         ("presentations.parse_presentation", lambda: parse_presentation(text), words_digest),

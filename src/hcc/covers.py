@@ -270,18 +270,20 @@ def build_cover(pres: Presentation, hom: Homomorphism, p: int) -> CoverComplex:
     # every block a copy of the one over K, whose entry ((i, y), (j, x)) is
     # seed[i, j, y^-1 x]; ldiv[y, x] is the position of y^-1 x in K.
     K, k = np.array(hom.cosets), hom.image_order  # the image, in the transversal's order
-    ldiv = hom.position[group.op(group.inverse(K)[:, None], K)]
-    seeds_k = seeds[:, :, K].astype(np.int32)  # residues below 2^20
+    ldiv = hom.position.astype(np.int32)[group.op(group.inverse(K)[:, None], K)]
+    c, j = np.array(hom.schreier_generators, dtype=np.int64).reshape(-1, 2).T
+    width = fpexact.elimination_dtype(len(c), m * k, p)  # the cotree's, which rank keeps
+    seeds_k = seeds[:, :, K].astype(width)
     # Row (i, g) of d2 @ d1 is delta_g times row (i, e), the seed row, so checking the
-    # seed rows certifies d2 @ d1 = 0; d1's block, row (j, y) and column x
-    # edges[j, 0, ldiv[y, x]], is a temporary, freed before the cotree is gathered.
+    # seed rows certifies d2 @ d1 = 0.  d1's block, row (j, y) and column x
+    # edges[j, 0, ldiv[y, x]], is a temporary in the cotree's width, freed before
+    # the cotree is gathered; the product copies it to float64 in column chunks.
     if not (FpMatrix._wrap(seeds_k.reshape(m, n * k), p)
-            @ FpMatrix._wrap(edges[:, 0, K][:, ldiv].reshape(n * k, k), p)).is_zero():
+            @ FpMatrix._wrap(edges[:, 0, K].astype(width)[:, ldiv].reshape(n * k, k), p)).is_zero():
         raise RuntimeError("boundary maps do not compose to zero")
     # Each row of d2 is a 1-cycle, as d2 @ d1 = 0, and a cycle with no part off a
     # spanning tree is zero, so the block's columns (j, c) off the tree have its
-    # rank; transposed, entry ((c, j), (i, y)) = seeds_k[i, j, ldiv[y, c]], in int32.
-    c, j = np.array(hom.schreier_generators, dtype=np.int64).reshape(-1, 2).T
+    # rank; transposed, entry ((c, j), (i, y)) = seeds_k[i, j, ldiv[y, c]].
     cotree = seeds_k[np.arange(m)[:, None], j[:, None, None], ldiv.T[c][:, None]].reshape(len(c), m * k)
     del ldiv, seeds_k
 

@@ -35,6 +35,7 @@ __all__ = [
     "check_entry_count",
     "check_power_count",
     "check_prime",
+    "elimination_dtype",
     "entry_cap",
     "inv_mod",
     "is_prime",
@@ -51,8 +52,8 @@ MAX_PRIME = 1048573  # largest prime below 2^20: residue products stay below 2^4
 
 PANEL = 64  # _echelon's panel width; PANEL * (MAX_PRIME - 1)^2 < 2^53 keeps panel products exact
 DEFER_ENTRIES = 4096  # updates touching at least this many trailing entries are recorded, not applied
-_FLUSH_ROWS = 128  # rows per chunk of a deferred panel product, to bound its temporaries
-_LAZY_LIMIT = 1 << 62  # _echelon reduces its trailing block every panel if int64 entries could grow this far
+_FLUSH_ROWS = 64  # rows per chunk of a deferred panel product, to bound its temporaries
+_MUL_ENTRIES = 1 << 16  # entries of _mul_mod's right operand copied to float64 at a time
 
 _entry_cap: int | None = None  # read from HCC_MATRIX_CAP on first use
 
@@ -149,7 +150,7 @@ class FpMatrix:
 
     @classmethod
     def _wrap(cls, a: np.ndarray, p: int) -> "FpMatrix":
-        # internal: a already reduced mod p, int64 or int32, 2-d
+        # internal: a already reduced mod p, int64, int32 or int16, 2-d
         m = object.__new__(cls)
         object.__setattr__(m, "_a", a)
         object.__setattr__(m, "p", p)
@@ -190,7 +191,7 @@ class FpMatrix:
 
     @property
     def array(self) -> np.ndarray:
-        """Read-only view of the underlying residue array: int64, or int32 where built internally."""
+        """Read-only view of the underlying residue array: int64, or int32 or int16 where built internally."""
         return self._a
 
     def entry(self, i: int, j: int) -> int:
@@ -298,20 +299,38 @@ def block_diagonal(diagonal: Sequence[int], rows: int, cols: int, p: int) -> FpM
 
 def _mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """``a @ b`` mod p for residue matrices by float64 BLAS: the inner dimension
-    is cut into chunks with chunk*(p-1)^2 < 2^53, so each chunk product is exact."""
-    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    is cut into chunks with chunk*(p-1)^2 < 2^53, so each chunk product is exact,
+    and ``b`` is copied to float64 at most _MUL_ENTRIES entries, whole columns, at a time."""
+    a = np.asarray(a, dtype=np.float64)
     step = ((1 << 53) - 1) // (p - 1) ** 2
+    cols = max(1, _MUL_ENTRIES // max(1, b.shape[0]))
     acc = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for s in range(0, a.shape[1], step):
-        acc += (a[:, s : s + step] @ b[s : s + step]).astype(np.int64)
-        acc %= p
+    for t in range(0, b.shape[1], cols):
+        bt, out = b[:, t : t + cols].astype(np.float64), acc[:, t : t + cols]
+        for s in range(0, a.shape[1], step):
+            out += (a[:, s : s + step] @ bt[s : s + step]).astype(np.int64)
+            out %= p
     return acc
 
 
-def _panel_product(mult: np.ndarray, prows: np.ndarray) -> np.ndarray:
-    """``mult @ prows`` as int64, not reduced: both are float64 residue
-    arrays with inner dimension at most PANEL, so the product is exact."""
-    return (mult @ prows).astype(np.int64)
+def _panel_product(mult: np.ndarray, prows: np.ndarray, width: type) -> np.ndarray:
+    """``mult @ prows`` in the integer ``width``, not reduced: both are
+    float64 residue arrays with inner dimension at most PANEL, so the
+    product is exact, and ``_echelon`` passes a width it fits in."""
+    return (mult @ prows).astype(width)
+
+
+def _lazy_bound(rows: int, cols: int, p: int) -> int:
+    """No entry or panel product of ``_echelon``'s unreduced updates gets this far from zero."""
+    return min(rows, cols) * (p - 1) ** 2 + p
+
+
+def elimination_dtype(rows: int, cols: int, p: int) -> type:
+    """The width ``rank`` eliminates a rows x cols matrix over F_p in: the
+    narrowest of int16, int32 and int64 whose maximum is above the lazy
+    bound (int64 if none is, and then ``_echelon`` reduces panels)."""
+    bound = _lazy_bound(rows, cols, p)
+    return np.int16 if bound < 2**15 - 1 else np.int32 if bound < 2**31 - 1 else np.int64
 
 
 def _echelon(a: np.ndarray, p: int, reduced: bool = False) -> list[int]:
@@ -327,19 +346,24 @@ def _echelon(a: np.ndarray, p: int, reduced: bool = False) -> list[int]:
     search, a row before it becomes a pivot, and the trailing columns by
     one product at the end of the panel.
 
-    Updates subtract without reducing mod p.  A column is reduced just
-    before its pivot search and a pivot row when it is chosen, so every
-    multiplier and pivot-row entry is a residue and every update is below
-    (p-1)^2.  An entry takes at most one update per pivot, so it stays
-    within min(rows, cols) (p-1)^2 + p of zero; where that could reach
-    _LAZY_LIMIT (2^30 for int32 ``a``, which ``rank`` passes only below it),
-    the trailing block is reduced after every panel.  Rows above the
-    pivots (``reduced``) are reduced once at the end.
+    Updates subtract without reducing mod p, in ``a``'s own width.  A
+    column is reduced just before its pivot search and a pivot row when it
+    is chosen, so every multiplier and pivot-row entry is a residue: every
+    outer-product term and scaled pivot-row entry is at most (p-1)^2, and
+    every panel product of k recorded updates at most k (p-1)^2.  An entry
+    takes at most one update per pivot, and k is at most the number of
+    pivots, so entries and panel products stay within the lazy bound
+    min(rows, cols) (p-1)^2 + p of zero.  Where that bound is below the
+    maximum of ``a``'s width, as ``elimination_dtype`` picks it for
+    ``rank``, every value fits the width and is exact; elsewhere (only
+    int64 comes here) the trailing block is reduced after every panel, so
+    entries stay below PANEL (p-1)^2 + p.  Rows above the pivots
+    (``reduced``) are reduced once at the end.
     """
     n_rows, n_cols = a.shape
     pivots: list[int] = []
     r = 0
-    reduce_panels = min(n_rows, n_cols) * (p - 1) ** 2 + p >= _LAZY_LIMIT >> 8 * (8 - a.itemsize)
+    reduce_panels = _lazy_bound(n_rows, n_cols, p) >= np.iinfo(a.dtype).max
     for c0 in range(0, n_cols, PANEL):
         c1 = min(c0 + PANEL, n_cols)
         k = 0  # updates recorded in this panel, in mult and prows
@@ -349,7 +373,7 @@ def _echelon(a: np.ndarray, p: int, reduced: bool = False) -> list[int]:
                 break
             top = 0 if reduced else r
             if k:
-                a[top:, c] -= _panel_product(mult[top:, :k], prows[:k, c - c0])
+                a[top:, c] -= _panel_product(mult[top:, :k], prows[:k, c - c0], a.dtype)
             a[top:, c] %= p
             done = c + 1
             nz = np.nonzero(a[r:, c])[0]
@@ -361,7 +385,7 @@ def _echelon(a: np.ndarray, p: int, reduced: bool = False) -> list[int]:
                 if k:
                     mult[[r, i]] = mult[[i, r]]
             if k and mult[r, :k].any():
-                a[r, c + 1 :] -= _panel_product(mult[r, :k], prows[:k, c + 1 - c0 :])
+                a[r, c + 1 :] -= _panel_product(mult[r, :k], prows[:k, c + 1 - c0 :], a.dtype)
                 mult[r] = 0
             # rows r.. vanish left of column c, so only columns c.. change
             a[r, c:] %= p
@@ -385,7 +409,7 @@ def _echelon(a: np.ndarray, p: int, reduced: bool = False) -> list[int]:
         pending = np.nonzero(mult[:, :k].any(axis=1))[0] if k else ()
         for s in range(0, len(pending), _FLUSH_ROWS):
             rows = pending[s : s + _FLUSH_ROWS]
-            a[rows, done:] -= _panel_product(mult[rows, :k], prows[:k, done - c0 :])
+            a[rows, done:] -= _panel_product(mult[rows, :k], prows[:k, done - c0 :], a.dtype)
         if reduce_panels:
             a[:, c1:] %= p
     if reduced:
@@ -394,9 +418,9 @@ def _echelon(a: np.ndarray, p: int, reduced: bool = False) -> list[int]:
 
 
 def rank(m: FpMatrix) -> int:
-    """F_p-rank via Gaussian elimination, in int32 where _echelon's bound stays below 2^30."""
-    narrow = min(m.rows, m.cols) * (m.p - 1) ** 2 + m.p < _LAZY_LIMIT >> 32
-    a = m.array.astype(np.int32 if narrow else np.int64)
+    """F_p-rank via Gaussian elimination on a copy in ``elimination_dtype``'s
+    width: int16 where the lazy bound is below 2^15 - 1, int32 below 2^31 - 1."""
+    a = m.array.astype(elimination_dtype(m.rows, m.cols, m.p))
     return len(_echelon(a, m.p))
 
 

@@ -531,15 +531,21 @@ class TestSeedAssembly:
         assert json.loads(capsys.readouterr().out)["b0"] == 2
 
 
-def test_heavy_cover_memory():
-    # perf/kernels.py's heavy cover, three 32-letter commutator relators onto
-    # (Z7)^3: the rank runs on the 687 x 1029 transposed cotree block, gathered
-    # in int32 after the boundary check, so the peak is about that block and
-    # rank's int32 copy of it
+def perf_kernels():
+    """``perf/kernels.py``, loaded as a module."""
     spec = importlib.util.spec_from_file_location("perf_kernels", Path(__file__).resolve().parents[1] / "perf" / "kernels.py")
     kernels = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(kernels)
-    pres, hom = kernels.heavy_cover()
+    return kernels
+
+
+def test_heavy_cover_memory():
+    # perf/kernels.py's heavy cover, three 32-letter commutator relators onto
+    # (Z7)^3: the rank runs on the 687 x 1029 transposed cotree block, gathered
+    # in int16 after the boundary check, whose product copies d1's int16 block
+    # to float64 in column chunks of at most 2^16 entries, so the peak is about
+    # the cotree block and rank's int16 copy of it
+    pres, hom = perf_kernels().heavy_cover()
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -550,7 +556,21 @@ def test_heavy_cover_memory():
     # b2 = 3 * 343 - 684: the block's rank, as perf/kernels.py --check records it
     assert (cover.b0, cover.b1, cover.b2) == (1, 3, 345)
     assert len(hom.schreier_generators) == 687
-    assert peak < 11 << 20, peak / 2**20
+    assert peak < 5 << 20, peak / 2**20
+
+
+def test_heavy_certificate_in_int16(monkeypatch):
+    # d1's 1029 x 343 block over (Z7)^3 reaches the certificate's one product
+    # in the cotree's int16, and is the block of the full d1
+    operands = []
+    matmul = FpMatrix.__matmul__
+    monkeypatch.setattr(FpMatrix, "__matmul__", lambda a, b: operands.append(b.array) or matmul(a, b))
+    pres, hom = perf_kernels().heavy_cover()
+    cover = build_cover(pres, hom, 7)
+    K, H, n = np.array(hom.cosets), hom.group.size, pres.n_generators
+    rows = (np.arange(n)[:, None] * H + K).ravel()
+    assert len(operands) == 1 and operands[0].dtype == np.int16
+    assert np.array_equal(operands[0], cover.d1.array[np.ix_(rows, K)])
 
 
 def table_text(group, rng):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -282,10 +284,10 @@ def test_panels_against_reference(monkeypatch, panel, defer_entries):
 
 @pytest.mark.parametrize("panel", [3, 64])
 def test_forced_trailing_reduction(monkeypatch, panel):
-    # a growth limit below one update makes the kernel reduce the trailing
+    # a lazy bound above every width makes the kernel reduce the trailing
     # block after every panel, as it must where entries could near 2^63
     monkeypatch.setattr(fpexact, "PANEL", panel)
-    monkeypatch.setattr(fpexact, "_LAZY_LIMIT", 1)
+    monkeypatch.setattr(fpexact, "_lazy_bound", lambda rows, cols, p: 2**63)
     rng = np.random.default_rng(41 + panel)
     for p in (2, 7, MAX_PRIME):
         for k in range(6):
@@ -301,7 +303,8 @@ def test_forced_trailing_reduction(monkeypatch, panel):
 def test_dense_matrix_across_default_panels(monkeypatch):
     products = []
     panel_product = fpexact._panel_product
-    monkeypatch.setattr(fpexact, "_panel_product", lambda a, b: products.append(a.shape) or panel_product(a, b))
+    monkeypatch.setattr(fpexact, "_panel_product",
+                        lambda a, b, width: products.append(a.shape) or panel_product(a, b, width))
     data = np.random.default_rng(37).integers(0, 7, size=(100, 150))
     m = FpMatrix(100, 150, data.ravel(), 7)
     expected_rows, expected_pivots = reference_rref(data.tolist(), 7)
@@ -313,75 +316,112 @@ def test_dense_matrix_across_default_panels(monkeypatch):
 
 
 class TestNarrowRank:
-    """``rank`` eliminates in int32 where min(rows, cols) (p-1)^2 + p < 2^30."""
+    """``rank`` eliminates in the narrowest of int16, int32 and int64 whose
+    maximum is above the lazy bound min(rows, cols) (p-1)^2 + p."""
 
     def test_width_follows_the_bound(self, monkeypatch):
-        # at p = 32749 one row is under the bound and two are over it
-        p = 32749
-        assert 32748**2 + p < 2**30 <= 2 * 32748**2 + p
+        # each width at its edges: at p = 7 a min side of 909 is under
+        # int16's maximum and 910 is not; at p = 181 one row is and two are
+        # not; at p = 32749 two rows are under int32's maximum and three not
+        assert 909 * 36 + 7 < 2**15 - 1 == 910 * 36 + 7
+        assert 180**2 + 181 < 2**15 - 1 < 2 * 180**2 + 181
+        assert 2 * 32748**2 + 32749 < 2**31 - 1 < 3 * 32748**2 + 32749
         seen = []
         echelon = fpexact._echelon
         monkeypatch.setattr(fpexact, "_echelon", lambda a, p: seen.append(a.dtype) or echelon(a, p))
         rng = np.random.default_rng(53)
-        for shape in ((1, 40), (40, 1), (2, 40), (40, 2), (30, 30)):
+        for p, shape, width in ((181, (1, 40), np.int16), (181, (40, 1), np.int16), (181, (2, 40), np.int32),
+                                (181, (40, 2), np.int32), (32749, (2, 40), np.int32), (32749, (40, 2), np.int32),
+                                (32749, (3, 40), np.int64), (32749, (30, 30), np.int64)):
             data = rng.integers(0, p, size=shape)
+            seen.clear()
             assert rank(FpMatrix(*shape, data.ravel(), p)) == reference_rank(data.tolist(), p)
-        assert seen == [np.int32, np.int32, np.int64, np.int64, np.int64]
-        seen.clear()
-        rank(FpMatrix(687, 1029, np.zeros(687 * 1029, dtype=np.int64), 7))
-        assert seen == [np.int32]
+            assert seen == [width] and fpexact.elimination_dtype(*shape, p) is width, (p, shape)
+        # the edges at p = 7, and the heavy covers block, on zero matrices
+        for shape, width in (((909, 950), np.int16), ((950, 909), np.int16), ((910, 950), np.int32),
+                             ((687, 1029), np.int16)):
+            seen.clear()
+            assert rank(FpMatrix.zeros(*shape, 7)) == 0
+            assert seen == [width] and fpexact.elimination_dtype(*shape, 7) is width, shape
 
-    def test_narrow_echelon_equals_the_wide_one(self):
+    def test_narrow_echelon_equals_the_wide_one(self, monkeypatch):
+        # every width the bound allows gives the int64 pivots and raw
+        # arrays, in both modes, deferred panels included: full-size draws
+        # up to 160 x 160, int32 at p = 101 with flush products past int16's
+        # range; and rows or columns few enough for int16 at p = 101 and 181
+        # or for int32 at p = 32749
+        flushes = []
+        panel_product = fpexact._panel_product
+
+        def record(a, b, width):
+            product = panel_product(a, b, width)
+            if a.ndim == b.ndim == 2:
+                flushes.append((width, int(np.abs(product).max(initial=0))))
+            return product
+
+        monkeypatch.setattr(fpexact, "_panel_product", record)
+        widths = [np.int16, np.int32, np.int64]
         rng = np.random.default_rng(59)
-        for p in (2, 3, 7, 101, 32749):
+        for p, side in ((2, None), (3, None), (7, None), (101, None), (101, 3), (181, 1), (32749, 2)):
             for k in range(8):
                 data = random_matrix(rng, p, max_side=160)
                 if k % 2:
                     data[rng.random(data.shape) >= 0.1] = 0
-                if p == 32749:  # one row or one column
-                    data = data[:1] if k % 4 < 2 else data[:, :1]
-                assert min(data.shape) * (p - 1) ** 2 + p < 2**30
+                if side:
+                    data = data[:side] if k % 4 < 2 else data[:, :side]
+                narrowest = widths.index(fpexact.elimination_dtype(*data.shape, p))
+                assert narrowest < 2
                 for reduced in (False, True):
-                    wide, narrow = data.copy(), data.astype(np.int32)
-                    assert fpexact._echelon(narrow, p, reduced) == fpexact._echelon(wide, p, reduced)
-                    assert np.array_equal(narrow, wide)
+                    wide = data.copy()
+                    pivots = fpexact._echelon(wide, p, reduced)
+                    for width in widths[narrowest:2]:
+                        narrow = data.astype(width)
+                        assert fpexact._echelon(narrow, p, reduced) == pivots, (p, side, width, reduced)
+                        assert np.array_equal(narrow, wide), (p, side, width, reduced)
+        assert any(width == np.int16 for width, _ in flushes)
+        assert any(width == np.int32 and top >= 2**15 for width, top in flushes)
 
     def test_internal_int32_matrix_computes_in_int64(self):
-        # an int32 matrix from _wrap gives its int64 twin's results, in int64
+        # an int32 or int16 matrix from _wrap gives its int64 twin's results, in int64
         rng = np.random.default_rng(61)
         for p in (2, 7, 32749):
             for _ in range(10):
                 data = random_matrix(rng, p, max_side=20)
                 wide = FpMatrix(*data.shape, data.ravel(), p)
-                narrow = FpMatrix._wrap(data.astype(np.int32), p)
-                assert narrow.array.dtype == np.int32 and narrow == wide
-                assert rank(narrow) == rank(wide)
-                (reduced, pivots), (reduced_wide, pivots_wide) = rref(narrow), rref(wide)
-                assert pivots == pivots_wide and reduced.array.dtype == np.int64 and reduced == reduced_wide
-                snf = smith_normal_form(narrow)
-                assert snf == smith_normal_form(wide)
-                replayed = snf.replay(narrow)
-                assert replayed.array.dtype == np.int64 and replayed == snf.replay(wide)
-                assert replayed == block_diagonal(snf.diagonal, *data.shape, p)
+                for width in (np.int32, np.int16)[: 1 if p > 2**15 else 2]:
+                    narrow = FpMatrix._wrap(data.astype(width), p)
+                    assert narrow.array.dtype == width and narrow == wide
+                    assert rank(narrow) == rank(wide)
+                    (reduced, pivots), (reduced_wide, pivots_wide) = rref(narrow), rref(wide)
+                    assert pivots == pivots_wide and reduced.array.dtype == np.int64 and reduced == reduced_wide
+                    snf = smith_normal_form(narrow)
+                    assert snf == smith_normal_form(wide)
+                    replayed = snf.replay(narrow)
+                    assert replayed.array.dtype == np.int64 and replayed == snf.replay(wide)
+                    assert replayed == block_diagonal(snf.diagonal, *data.shape, p)
 
     @pytest.mark.parametrize("contiguous", [True, False])
     def test_deferred_flush_in_int32(self, monkeypatch, contiguous):
-        # the int64 panel product of a panel's pending rows is subtracted into
-        # int32 rows: with the rows dense, every row below the first panel's
-        # pivots is pending; with every other one zero in that panel, those
-        # rows take no update and split the pending rows
+        # each chunk of a panel's pending rows takes its panel product in
+        # the rows' own width, int32 or int16, never widened: with the rows
+        # dense, every row below the first panel's pivots is pending; with
+        # every other one zero in that panel, those rows take no update and
+        # split the pending rows
         flushes = []
         panel_product = fpexact._panel_product
-        monkeypatch.setattr(fpexact, "_panel_product",
-                            lambda a, b: (a.ndim == b.ndim == 2 and flushes.append(a.shape)) or panel_product(a, b))
+        monkeypatch.setattr(fpexact, "_panel_product", lambda a, b, width: (
+            a.ndim == b.ndim == 2 and flushes.append((a.shape[0], width))) or panel_product(a, b, width))
         data = np.random.default_rng(67).integers(0, 7, size=(200, 150))
         if not contiguous:
             data[65::2, :64] = 0
         expected_rows, expected_pivots = reference_rref(data.tolist(), 7)
-        a = data.astype(np.int32)
-        assert fpexact._echelon(a, 7) == list(expected_pivots)
-        assert flushes and a.dtype == np.int32
-        assert not a[len(expected_pivots) :].any() and reference_rref(a.tolist(), 7)[0] == expected_rows
+        for width in (np.int32, np.int16):
+            flushes.clear()
+            a = data.astype(width)
+            assert fpexact._echelon(a, 7) == list(expected_pivots)
+            assert flushes and all(w == width for _, w in flushes) and a.dtype == width
+            assert max(rows for rows, _ in flushes) <= fpexact._FLUSH_ROWS == 64
+            assert not a[len(expected_pivots) :].any() and reference_rref(a.tolist(), 7)[0] == expected_rows
         m = FpMatrix(*data.shape, data.ravel(), 7)
         assert rank(m) == len(expected_pivots)
         reduced, pivots = rref(m)
@@ -398,6 +438,28 @@ def test_matmul_in_two_float_chunks_at_max_prime():
     expected = [[sum(int(x) * int(y) for x, y in zip(row, col)) % p for col in b.T] for row in a]
     assert fpexact._mul_mod(a, b, p).tolist() == expected
     assert (FpMatrix(3, k, a.ravel(), p) @ FpMatrix(k, 2, b.ravel(), p)).to_rows() == expected
+
+
+def test_matmul_copies_its_right_operand_in_column_chunks():
+    # a 1029 x 343 int16 right operand, d1's block on the heavy cover, goes
+    # to float64 63 columns (at most 2^16 entries, 0.49 MiB) at a time, the
+    # next chunk made before the last is freed, not as one 2.69 MiB copy; at
+    # MAX_PRIME two column chunks each take two inner chunks
+    rng = np.random.default_rng(71)
+    a, b = rng.integers(0, 7, size=(3, 1029)), rng.integers(0, 7, size=(1029, 343)).astype(np.int16)
+    assert fpexact._MUL_ENTRIES // 1029 == 63
+    tracemalloc.start()
+    try:
+        product = fpexact._mul_mod(a, b, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(product, a @ b.astype(np.int64) % 7)
+    assert peak < 5 << 18, peak / 2**20
+    p, k = MAX_PRIME, 9000
+    a, b = rng.integers(0, p, size=(2, k)), rng.integers(0, p, size=(k, 10))
+    expected = [[sum(int(x) * int(y) for x, y in zip(row, col)) % p for col in b.T] for row in a]
+    assert fpexact._mul_mod(a, b, p).tolist() == expected
 
 
 class TestValidation:
