@@ -12,6 +12,9 @@ as text, mapped onto (Z3)^2.  Each row is named after its layer in
 ``bench/trace.py``:
 
 * ``fpexact.rank`` -- the rank of that block;
+* ``fpexact.rref`` -- the reduced row-echelon form of a dense seeded
+  1024 x 1024 matrix at p = 7 with 24 dependent columns (rank 1000),
+  through the elimination kernel ``rank`` shares;
 * ``covers.build_cover`` -- the whole cover, the group and homomorphism
   built beforehand;
 * ``presentations.parse_presentation`` -- parsing the 9,000-letter text;
@@ -25,11 +28,12 @@ as text, mapped onto (Z3)^2.  Each row is named after its layer in
 A row records the median and interquartile range of ``--reps`` timed
 calls after one warm-up call, the tracemalloc peak of one more call, and
 the answer with its digest (the block's bytes, its rank and the width
-of the array ``rank`` hands ``fpexact._echelon`` for it; the cover's
-Betti numbers; the profile's dimensions).  A run records the machine,
-the versions, the git commit (``git describe --dirty``, so a run on
-uncommitted changes reads ``<commit>-dirty``) and a digest of
-``src/hcc``, and replaces the run of the same ``--label`` in
+of the array ``rank`` hands ``fpexact._echelon`` for it; the rref's
+pivots, as its rank and the columns without one, and a digest of the
+reduced array; the cover's Betti numbers; the profile's dimensions).  A
+run records the machine, the versions, the git commit (``git describe
+--dirty``, so a run on uncommitted changes reads ``<commit>-dirty``) and
+a digest of ``src/hcc``, and replaces the run of the same ``--label`` in
 ``BENCH_kernels.json`` at the repository root.
 ``tests/test_covers.py`` loads this file for ``heavy_cover``.
 
@@ -71,7 +75,8 @@ from hcc.presentations import (  # noqa: E402
 )
 
 OUT = os.path.join(ROOT, "BENCH_kernels.json")
-EXPECTED = {"fpexact.rank": "d6a6659f9aa96a60", "covers.build_cover": "6049a0d1d60c853e",
+EXPECTED = {"fpexact.rank": "d6a6659f9aa96a60", "fpexact.rref": "85567eb5f3dac498",
+            "covers.build_cover": "6049a0d1d60c853e",
             "presentations.parse_presentation": "4ab8021ae9fa17da",
             "presentations.reidemeister_schreier": "fc58dc1f5b7db128",
             "presentations.complex_summary": "9361aa30680a8d4a",
@@ -122,6 +127,24 @@ def fresh_profile(p: int, group: OrderedGroup) -> groupring.FiltrationProfile:
     return groupring.filtration_profile(p, group)
 
 
+def dense_matrix(p: int, side: int, dependent: int) -> fpexact.FpMatrix:
+    """A seeded dense side x side matrix over F_p whose ``dependent`` columns,
+    drawn at random, are random combinations of the columns left of them, so
+    its reduced form has that many columns without a pivot and is not I."""
+    rng = np.random.default_rng(20261020)
+    data = rng.integers(0, p, size=(side, side))
+    for c in np.sort(rng.choice(np.arange(1, side), size=dependent, replace=False)).tolist():
+        data[:, c] = data[:, :c] @ rng.integers(0, p, size=c) % p
+    return fpexact.FpMatrix(side, side, data.ravel(), p)
+
+
+def rref_answer(result: tuple[fpexact.FpMatrix, tuple[int, ...]]) -> dict:
+    reduced, pivots = result
+    return {"shape": [reduced.rows, reduced.cols], "p": reduced.p, "rank": len(pivots),
+            "columns_without_pivot": sorted(set(range(reduced.cols)) - set(pivots)),
+            "reduced_sha256": hashlib.sha256(reduced.array.tobytes()).hexdigest()[:16]}
+
+
 def words_digest(pres: Presentation) -> dict:
     """Counts, and a digest of every relator's letters."""
     h = hashlib.sha256(json.dumps([pres.generator_names, [w.letters for w in pres.relators]]).encode())
@@ -158,10 +181,12 @@ def kernels():
     onto = Homomorphism(words, z3, [z3.ea_index[t] for t in ((1, 0), (0, 1), (1, 1))])
     kernel = reidemeister_schreier(words, onto)
     big = s3_times_ea()
+    dense = dense_matrix(7, 1024, 24)
     return [
         ("fpexact.rank", lambda: fpexact.rank(block),
          lambda r: {"shape": [block.rows, block.cols], "p": block.p, "block_sha256": block_sha, "rank": r,
                     "width": widths[0]}),
+        ("fpexact.rref", lambda: fpexact.rref(dense), rref_answer),
         ("covers.build_cover", lambda: build_cover(pres, hom, 7),
          lambda c: {"b0": c.b0, "b1": c.b1, "b2": c.b2}),
         ("presentations.parse_presentation", lambda: parse_presentation(text), words_digest),

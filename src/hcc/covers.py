@@ -67,16 +67,17 @@ class Homomorphism:
     """Generator images defining a map from the presented group to a finite group.
 
     Compatibility (every relator maps to the identity) is enforced at
-    construction.  ``letter_action[s][j]`` is the list of the products x h
-    over every element x, from one ``group.op`` call, for h the image of
-    a_j^s (s = +-1), so every word walk steps one letter by one list lookup.
+    construction.  ``columns[c]`` is the list of the products x h over
+    every element x, from one ``group.op`` call, for h the image of the
+    letter of code c (2j for a_j, 2j + 1 for its inverse), so every word
+    walk steps one letter by one list lookup.
     One breadth-first search, positive letters first, walks the image and is
     its Schreier transversal: ``cosets`` in the order reached, ``position``
     each element's index in ``cosets`` (-1 off the image; read-only), and
     ``schreier_generators`` the (coset, j) pairs off its tree, coset-major.
     """
 
-    __slots__ = ("source", "group", "images", "letter_action", "cosets", "position", "schreier_generators")
+    __slots__ = ("source", "group", "images", "columns", "cosets", "position", "schreier_generators")
 
     def __init__(self, source: Presentation, group: OrderedGroup, images: Sequence[int]):
         images = tuple(int(x) for x in images)
@@ -90,23 +91,21 @@ class Homomorphism:
         object.__setattr__(self, "images", images)
         inverses, idx = [group.inverse(h) for h in images], np.arange(group.size)
         column = {h: group.op(idx, h).tolist() for h in {*images, *inverses}}  # one list per element
-        object.__setattr__(self, "letter_action", {
-            1: tuple(column[h] for h in images), -1: tuple(column[h] for h in inverses)
-        })
+        object.__setattr__(self, "columns", tuple(column[h] for pair in zip(images, inverses) for h in pair))
         for i, rel in enumerate(source.relators):
             img = self.word_image(rel)
             if img != group.identity_index:
                 raise IncompatibleHomomorphismError(i, img, group.element_names[img])
-        letters = [(j, s == 1, column) for s in (1, -1) for j, column in enumerate(self.letter_action[s])]
+        codes = [*range(0, 2 * len(images), 2), *range(1, 2 * len(images), 2)]
         cosets, position, tree = [group.identity_index], [-1] * group.size, set()
         position[group.identity_index] = 0
         for x in cosets:  # grows while it is walked: breadth first
-            for j, positive, column in letters:
-                y = column[x]
+            for c in codes:
+                y = self.columns[c][x]
                 if position[y] < 0:
                     position[y] = len(cosets)
                     cosets.append(y)
-                    tree.add((x, j) if positive else (y, j))  # the edge a_j runs x -> y, or y -> x
+                    tree.add((y if c & 1 else x, c >> 1))  # the edge a_j runs x -> y, or y -> x
         object.__setattr__(self, "cosets", tuple(cosets))
         object.__setattr__(self, "position", np.array(position))
         self.position.setflags(write=False)
@@ -124,14 +123,10 @@ class Homomorphism:
     def __setattr__(self, name, value):
         raise AttributeError("Homomorphism is immutable")
 
-    def _columns(self) -> list[list[int]]:
-        """The ``letter_action`` columns indexed by letter code."""
-        return [column for pair in zip(self.letter_action[1], self.letter_action[-1]) for column in pair]
-
     def prefix_images(self, word: FreeWord) -> list[int]:
         """Images of the prefixes of a free word, in one walk: entry k is
         the index of the image of its first k letters."""
-        columns, x = self._columns(), self.group.identity_index
+        columns, x = self.columns, self.group.identity_index
         out = [x]
         for c in word.codes.tolist():
             x = columns[c][x]
@@ -141,7 +136,7 @@ class Homomorphism:
     def word_image(self, word: FreeWord) -> int:
         """Index of the image of a free word in the target group: the same
         walk as ``prefix_images``, keeping only the running element."""
-        columns, x = self._columns(), self.group.identity_index
+        columns, x = self.columns, self.group.identity_index
         for c in word.codes.tolist():
             x = columns[c][x]
         return x

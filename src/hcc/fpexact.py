@@ -328,7 +328,7 @@ def _lazy_bound(rows: int, cols: int, p: int) -> int:
 def elimination_dtype(rows: int, cols: int, p: int) -> type:
     """The width ``rank`` eliminates a rows x cols matrix over F_p in: the
     narrowest of int16, int32 and int64 whose maximum is above the lazy
-    bound (int64 if none is, and then ``_echelon`` reduces panels)."""
+    bound (int64 if none is, and then ``_echelon`` refuses the matrix)."""
     bound = _lazy_bound(rows, cols, p)
     return np.int16 if bound < 2**15 - 1 else np.int32 if bound < 2**31 - 1 else np.int64
 
@@ -353,17 +353,19 @@ def _echelon(a: np.ndarray, p: int, reduced: bool = False) -> list[int]:
     every panel product of k recorded updates at most k (p-1)^2.  An entry
     takes at most one update per pivot, and k is at most the number of
     pivots, so entries and panel products stay within the lazy bound
-    min(rows, cols) (p-1)^2 + p of zero.  Where that bound is below the
-    maximum of ``a``'s width, as ``elimination_dtype`` picks it for
-    ``rank``, every value fits the width and is exact; elsewhere (only
-    int64 comes here) the trailing block is reduced after every panel, so
-    entries stay below PANEL (p-1)^2 + p.  Rows above the pivots
-    (``reduced``) are reduced once at the end.
+    min(rows, cols) (p-1)^2 + p of zero.  An array whose width's maximum
+    that bound reaches is refused with ``CapExceededError``; for int64 that
+    takes min(rows, cols) > 8,388,672 at p = MAX_PRIME.  ``rank`` takes its
+    width from ``elimination_dtype``.  Rows above the pivots (``reduced``)
+    are reduced once at the end.
     """
     n_rows, n_cols = a.shape
+    bound = _lazy_bound(n_rows, n_cols, p)
+    if bound >= np.iinfo(a.dtype).max:
+        raise CapExceededError(f"eliminating a {n_rows}x{n_cols} matrix mod {p} in {a.dtype.name} "
+                               f"needs entries up to {bound}, past its range")
     pivots: list[int] = []
     r = 0
-    reduce_panels = _lazy_bound(n_rows, n_cols, p) >= np.iinfo(a.dtype).max
     for c0 in range(0, n_cols, PANEL):
         c1 = min(c0 + PANEL, n_cols)
         k = 0  # updates recorded in this panel, in mult and prows
@@ -410,8 +412,6 @@ def _echelon(a: np.ndarray, p: int, reduced: bool = False) -> list[int]:
         for s in range(0, len(pending), _FLUSH_ROWS):
             rows = pending[s : s + _FLUSH_ROWS]
             a[rows, done:] -= _panel_product(mult[rows, :k], prows[:k, done - c0 :], a.dtype)
-        if reduce_panels:
-            a[:, c1:] %= p
     if reduced:
         a[:r] %= p
     return pivots

@@ -40,7 +40,6 @@ operations alone, and their groups' names and tuples on first read.
 from __future__ import annotations
 
 import hashlib
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -510,7 +509,7 @@ class FiltrationProfile:
         return tuple(_level_bases(self.p, self.group))
 
 
-_PROFILE_CACHE: dict[tuple[int, str], tuple[tuple[int, ...], weakref.ref]] = {}  # dims, last profile
+_PROFILE_CACHE: dict[tuple[int, str], tuple[int, ...]] = {}  # dims per (p, table)
 
 
 def _level_bases(p: int, group: OrderedGroup) -> Iterator[tuple[np.ndarray, tuple[int, ...]]]:
@@ -592,9 +591,8 @@ def _profile(p: int, group: OrderedGroup, dims: Sequence[int]) -> FiltrationProf
 
 def filtration_profile(p: int, group: OrderedGroup) -> FiltrationProfile:
     """Filtration profile of F_p[group], its dimensions cached per (p,
-    multiplication table).  The profile carries the caller's group, and the
-    cache holds it only weakly: no group outlives its callers, and a caller
-    still holding a profile gets that same object back.
+    multiplication table).  Each call returns a new profile that carries the
+    caller's group; the cache holds no group or profile.
 
     The dimensions come from the Jennings series of H/N, N = O^p(H), and
     dim I_H^k = |H| - |H/N| + dim I_{H/N}^k for k >= 1 (see the module
@@ -604,11 +602,7 @@ def filtration_profile(p: int, group: OrderedGroup) -> FiltrationProfile:
     """
     check_prime(p)
     key = (p, group.table_hash)
-    dims, last = _PROFILE_CACHE.get(key, (None, None))
-    profile = last() if last else None
-    if profile is None or profile.group is not group:
-        if dims is None:
-            dims = tuple(_jennings_dims(p, group))
-        profile = _profile(p, group, dims)
-        _PROFILE_CACHE[key] = (dims, weakref.ref(profile))
-    return profile
+    dims = _PROFILE_CACHE.get(key)
+    if dims is None:
+        dims = _PROFILE_CACHE[key] = tuple(_jennings_dims(p, group))
+    return _profile(p, group, dims)

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import hcc
-from hcc import cli, groupring, selfcheck
+from hcc import cli, fpexact, groupring, selfcheck
 
 
 def run_cli(argv, capsys):
@@ -177,6 +177,16 @@ class TestPresent:
         code, _, err = run_cli(["present", "--pres", str(pres), "--p", "2"], capsys)
         assert code == 1
         assert "unknown generator" in err
+
+
+    def test_elimination_past_int64_is_input_error(self, tmp_path, capsys, monkeypatch):
+        # a lazy bound past int64 is refused by the kernel: one error line, exit 1
+        monkeypatch.setattr(fpexact, "_lazy_bound", lambda rows, cols, p: 2**63)
+        pres = tmp_path / "p.pres"
+        pres.write_text("< a, b | a b, b >\n")
+        code, out, err = run_cli(["present", "--pres", str(pres), "--p", "2"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: eliminating a ") and err.count("\n") == 1 and err.count("error:") == 1
 
 
 class TestCover:

@@ -402,9 +402,7 @@ class TestSeedAssembly:
         hom = Homomorphism(pres, group, [1, 1])
         assert hom.cosets == (0, 1) and hom.schreier_generators == ((0, 1), (1, 0), (1, 1))
         reads = []
-        counted = {s: tuple(CountingList(column, reads) for column in columns)
-                   for s, columns in hom.letter_action.items()}
-        object.__setattr__(hom, "letter_action", counted)
+        object.__setattr__(hom, "columns", tuple(CountingList(column, reads) for column in hom.columns))
         cover = build_cover(pres, hom, 2)
         assert len(reads) == len(pres.relators[0]) and walks == []  # one prefix walk, no search
         assert cover.hom.image_order == 2 and not cover.hom.surjective and cover.b0 == 2
@@ -733,18 +731,43 @@ class TestCotree:
         assert hom.schreier_generators == ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1))
         rng = np.random.default_rng(20261021)
         for pres, hom, _ in cotree_cases(rng):
-            k, n, act = hom.image_order, pres.n_generators, hom.letter_action
+            k, n, columns = hom.image_order, pres.n_generators, hom.columns
             assert hom.cosets[0] == hom.group.identity_index
             assert sorted(hom.cosets) == np.flatnonzero(hom.position >= 0).tolist()
             assert hom.position[list(hom.cosets)].tolist() == list(range(k))
             assert list(hom.schreier_generators) == sorted(set(hom.schreier_generators)), (pres, hom)
             tree = sorted({(c, j) for c in range(k) for j in range(n)} - set(hom.schreier_generators))
             assert len(tree) == k - 1, (pres, hom)
-            edges = [(c, int(hom.position[act[1][j][hom.cosets[c]]])) for c, j in tree]
+            edges = [(c, int(hom.position[columns[2 * j][hom.cosets[c]]])) for c, j in tree]
             reached = {0}
             for _ in range(k):  # the k - 1 tree edges join every coset to the identity's
                 reached |= {v for edge in edges if set(edge) & reached for v in edge}
             assert reached == set(range(k)), (pres, hom)
+
+    def test_search_order_is_pinned(self):
+        # the search takes the positive letters in generator order, then the
+        # inverses: cosets and Schreier generators (and so every rewritten
+        # generator's name) as recorded, on (Z3)^2 and on S3 read from a
+        # relabelled .tbl; columns[2j] and columns[2j + 1] act by a_j and its inverse
+        z3 = make_elementary_abelian(3, 2)
+        s3 = parse_group_table("order 6\n0 1 2 3 4 5\n1 0 5 4 3 2\n2 3 4 5 0 1\n"
+                               "3 2 1 0 5 4\n4 5 0 1 2 3\n5 4 3 2 1 0")
+        cases = [
+            ("< a, b, c | a^3, b^3, a b a^-1 b^-1, a c a^-1 c^-1, b c b^-1 c^-1 >", z3,
+             [z3.ea_index[t] for t in ((1, 0), (1, 1), (0, 2))], (0, 1, 4, 5, 3, 8, 2, 6, 7),
+             ((1, 0), (2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2), (4, 1), (4, 2), (5, 0), (5, 2),
+              (6, 0), (6, 1), (7, 0), (7, 1), (7, 2), (8, 0), (8, 1), (8, 2))),
+            ("< a, b, c | a^2, b^3, c^2, a b a b, c b c b >", s3, [5, 4, 1], (0, 5, 4, 1, 2, 3),
+             ((1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2), (4, 0), (4, 2),
+              (5, 0), (5, 2))),
+        ]
+        for text, group, images, cosets, schreier_generators in cases:
+            hom = Homomorphism(parse_presentation(text), group, images)
+            assert hom.cosets == cosets and hom.schreier_generators == schreier_generators, text
+            idx = np.arange(group.size)
+            for j, h in enumerate(images):
+                assert hom.columns[2 * j] == group.op(idx, h).tolist()
+                assert hom.columns[2 * j + 1] == group.op(idx, group.inverse(h)).tolist()
 
     def test_certificate_reads_the_block_of_full_d1(self, monkeypatch):
         # the right operand of build_cover's certificate, gathered from the

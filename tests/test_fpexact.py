@@ -284,10 +284,12 @@ def test_panels_against_reference(monkeypatch, panel, defer_entries):
 
 @pytest.mark.parametrize("panel", [3, 64])
 def test_forced_trailing_reduction(monkeypatch, panel):
-    # a lazy bound above every width makes the kernel reduce the trailing
-    # block after every panel, as it must where entries could near 2^63
+    # a lazy bound just below int64's maximum once made the kernel reduce
+    # the trailing block after every panel; now the one unreduced regime
+    # runs up to that edge, and a bound at the maximum is refused
     monkeypatch.setattr(fpexact, "PANEL", panel)
-    monkeypatch.setattr(fpexact, "_lazy_bound", lambda rows, cols, p: 2**63)
+    edge = int(np.iinfo(np.int64).max)
+    monkeypatch.setattr(fpexact, "_lazy_bound", lambda rows, cols, p: edge - 1)
     rng = np.random.default_rng(41 + panel)
     for p in (2, 7, MAX_PRIME):
         for k in range(6):
@@ -298,6 +300,32 @@ def test_forced_trailing_reduction(monkeypatch, panel):
         check_echelon_modes(rng.integers(0, p, size=(40, 100)), p)
         low_rank = rng.integers(0, p, size=(90, 30)) @ rng.integers(0, p, size=(30, 80))
         check_echelon_modes(low_rank % p, p)
+    monkeypatch.setattr(fpexact, "_lazy_bound", lambda rows, cols, p: edge)
+    data = rng.integers(0, 7, size=(40, 100))
+    a = data.copy()
+    with pytest.raises(CapExceededError, match=f"needs entries up to {edge}, past its range"):
+        fpexact._echelon(a, 7)
+    assert (a == data).all()
+
+
+def test_forced_lazy_bound_is_refused(monkeypatch):
+    # a lazy bound past int64 is refused by rank, rref and kernel_dim alike
+    monkeypatch.setattr(fpexact, "_lazy_bound", lambda rows, cols, p: 2**63)
+    m = FpMatrix.from_rows([[1, 2], [3, 4]], 7)
+    for call in (rank, rref, kernel_dim):
+        with pytest.raises(CapExceededError, match="2x2 matrix mod 7 in int64 needs entries up to 9223372036854775808"):
+            call(m)
+
+
+def test_int16_past_its_bound_is_refused():
+    # 3 x 3 at p = 181: the bound 3 * 180^2 + 181 is past 2^15 - 1, and an
+    # int16 array of that shape is refused; one row (180^2 + 181) is not
+    data = np.random.default_rng(41).integers(0, 181, size=(3, 3))
+    with pytest.raises(CapExceededError, match="3x3 matrix mod 181 in int16 needs entries up to 97381"):
+        fpexact._echelon(data.astype(np.int16), 181)
+    row = data[:1].astype(np.int16)
+    assert fpexact._echelon(row, 181) == list(reference_rref(data[:1].tolist(), 181)[1])
+    assert row.tolist() == reference_rref(data[:1].tolist(), 181)[0]
 
 
 def test_dense_matrix_across_default_panels(monkeypatch):

@@ -372,9 +372,23 @@ class TestFiltration:
             with pytest.raises(ValueError, match="k must be non-negative"):
                 ask(-1, e)
 
-    def test_cache_returns_same_object(self):
-        g = make_cyclic(9)
-        assert filtration_profile(3, g) is filtration_profile(3, g)
+    def test_cache_holds_dims_once_per_table(self, monkeypatch):
+        # one Jennings run per (p, table) across distinct group objects; each
+        # call returns a new profile, and one dropped by its caller is freed
+        calls = []
+        jennings_dims = groupring._jennings_dims
+        monkeypatch.setattr(groupring, "_PROFILE_CACHE", {})
+        monkeypatch.setattr(groupring, "_jennings_dims", lambda p, g: calls.append(p) or jennings_dims(p, g))
+        groups = [make_cyclic(9), make_cyclic(9), make_elementary_abelian(3, 2)]
+        profiles = [filtration_profile(p, g) for p in (3, 2) for g in groups]
+        assert calls == [3, 3, 2, 2]
+        assert [prof.delta_dims for prof in profiles[:3]] == [tuple(range(9, -1, -1))] * 2 + [(9, 8, 6, 3, 1, 0)]
+        assert all(prof.group is g for prof, g in zip(profiles, groups * 2))
+        assert filtration_profile(3, groups[0]) is not profiles[0] and calls == [3, 3, 2, 2]
+        ref = weakref.ref(profiles[0])
+        del profiles
+        gc.collect()
+        assert ref() is None
 
     def test_profile_carries_the_callers_group(self):
         # Z3 and (Z3)^1 have one table, so one cached set of dimensions
@@ -704,7 +718,6 @@ def test_contains_builds_the_bases_once_per_profile(elimination_calls):
         assert elimination_calls == []
         x = GroupRingElement.delta(group, p, 1) - GroupRingElement.delta(group, p, 0)
         assert prof.contains(0, x) and prof.contains(1, x)
-        assert filtration_profile(p, group) is prof and prof.contains(1, x)
         assert elimination_calls == [(p, group.size)]
         elimination_calls.clear()
 
