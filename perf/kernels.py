@@ -12,6 +12,11 @@ as text, mapped onto (Z3)^2.  Each row is named after its layer in
 ``bench/trace.py``:
 
 * ``fpexact.rank`` -- the rank of that block;
+* ``fpexact.rank/genus3-onto-Z5^3`` and ``fpexact.rank/T3-onto-Z5^3`` --
+  the mid-size blocks of the genus-3 surface group (626 x 125) and of
+  T^3's 2-skeleton (251 x 375), each mapped onto (Z5)^3 by seeded
+  generator images, whose weight-2 rows the structured pass of ``rank``
+  contracts;
 * ``fpexact.rref`` -- the reduced row-echelon form of a dense seeded
   1024 x 1024 matrix at p = 7 with 24 dependent columns (rank 1000),
   through the elimination kernel ``rank`` shares;
@@ -28,7 +33,8 @@ as text, mapped onto (Z3)^2.  Each row is named after its layer in
 A row records the median and interquartile range of ``--reps`` timed
 calls after one warm-up call, the tracemalloc peak of one more call, and
 the answer with its digest (the block's bytes, its rank and the width
-of the array ``rank`` hands ``fpexact._echelon`` for it; the rref's
+of the array ``rank`` hands ``fpexact._echelon`` for it, or for the
+mid-size blocks the shape of that array, the core; the rref's
 pivots, as its rank and the columns without one, and a digest of the
 reduced array; the cover's Betti numbers; the profile's dimensions).  A
 run records the machine, the versions, the git commit (``git describe
@@ -75,7 +81,8 @@ from hcc.presentations import (  # noqa: E402
 )
 
 OUT = os.path.join(ROOT, "BENCH_kernels.json")
-EXPECTED = {"fpexact.rank": "d6a6659f9aa96a60", "fpexact.rref": "85567eb5f3dac498",
+EXPECTED = {"fpexact.rank": "d6a6659f9aa96a60", "fpexact.rank/genus3-onto-Z5^3": "7871dfd76168c0ae",
+            "fpexact.rank/T3-onto-Z5^3": "ff9483a241faca1b", "fpexact.rref": "85567eb5f3dac498",
             "covers.build_cover": "6049a0d1d60c853e",
             "presentations.parse_presentation": "4ab8021ae9fa17da",
             "presentations.reidemeister_schreier": "fc58dc1f5b7db128",
@@ -103,6 +110,54 @@ def heavy_cover() -> tuple[Presentation, Homomorphism]:
     pres = Presentation(("a", "b", "c"), tuple(commutator_relator(rng, 3, 32) for _ in range(3)))
     group = make_elementary_abelian(7, 3)
     return pres, Homomorphism(pres, group, [group.ea_index[t] for t in ((1, 0, 0), (0, 1, 0), (0, 0, 1))])
+
+
+def onto_z5_cubed(name: str, text: str) -> tuple[Presentation, Homomorphism]:
+    """The presentation and its map onto (Z5)^3 by the first seeded
+    generator images that span it."""
+    pres = parse_presentation(text)
+    rng = random.Random(f"perf:{name}")
+    group = make_elementary_abelian(5, 3)
+    while True:
+        images = [tuple(rng.randrange(5) for _ in range(3)) for _ in pres.generator_names]
+        hom = Homomorphism(pres, group, [group.ea_index[t] for t in images])
+        if hom.surjective:
+            return pres, hom
+
+
+def ranked_blocks(pres: Presentation, hom: Homomorphism, p: int) -> list[fpexact.FpMatrix]:
+    """The matrices ``build_cover`` ranks, in order."""
+    blocks = []
+    rank = fpexact.rank
+    fpexact.rank = lambda m: blocks.append(m) or rank(m)
+    try:
+        build_cover(pres, hom, p)
+    finally:
+        fpexact.rank = rank
+    return blocks
+
+
+def echelon_input(block: fpexact.FpMatrix) -> np.ndarray:
+    """The array ``rank`` hands ``fpexact._echelon`` for the block: its core."""
+    seen = []
+    echelon = fpexact._echelon
+    fpexact._echelon = lambda a, p: seen.append(a) or echelon(a, p)
+    try:
+        fpexact.rank(block)
+    finally:
+        fpexact._echelon = echelon
+    (core,) = seen
+    return core
+
+
+def rank_row(name: str, block: fpexact.FpMatrix, by_core: bool):
+    """A rank row: the block's shape, bytes and rank, with the width of its
+    core, or with the core's shape when ``by_core`` is set."""
+    sha = hashlib.sha256(block.array.astype(np.int64).tobytes()).hexdigest()[:16]
+    core = echelon_input(block)
+    seen = {"core": list(core.shape)} if by_core else {"width": core.dtype.name}
+    return (name, lambda: fpexact.rank(block),
+            lambda r: {"shape": [block.rows, block.cols], "p": block.p, "block_sha256": sha, "rank": r, **seen})
 
 
 def long_text() -> str:
@@ -159,22 +214,9 @@ def digest(answer: dict) -> str:
 def kernels():
     """(name, call, answer) per row; ``answer`` maps the call's result to a dict."""
     pres, hom = heavy_cover()
-    blocks = []
-    rank = fpexact.rank
-    fpexact.rank = lambda m: blocks.append(m) or rank(m)  # the block build_cover ranks
-    try:
-        build_cover(pres, hom, 7)
-    finally:
-        fpexact.rank = rank
-    block = blocks[0]
-    widths = []
-    echelon = fpexact._echelon
-    fpexact._echelon = lambda a, p: widths.append(a.dtype.name) or echelon(a, p)  # the width rank eliminates in
-    try:
-        fpexact.rank(block)
-    finally:
-        fpexact._echelon = echelon
-    block_sha = hashlib.sha256(block.array.astype(np.int64).tobytes()).hexdigest()[:16]
+    genus3 = ranked_blocks(*onto_z5_cubed(
+        "genus3", "< a, b, c, d, e, f | a b a^-1 b^-1 c d c^-1 d^-1 e f e^-1 f^-1 >"), 5)[0]
+    t3 = ranked_blocks(*onto_z5_cubed("t3", "< a, b, c | a b a^-1 b^-1, a c a^-1 c^-1, b c b^-1 c^-1 >"), 5)[0]
     text = long_text()
     words = parse_presentation(text)
     z3 = make_elementary_abelian(3, 2)
@@ -183,9 +225,9 @@ def kernels():
     big = s3_times_ea()
     dense = dense_matrix(7, 1024, 24)
     return [
-        ("fpexact.rank", lambda: fpexact.rank(block),
-         lambda r: {"shape": [block.rows, block.cols], "p": block.p, "block_sha256": block_sha, "rank": r,
-                    "width": widths[0]}),
+        rank_row("fpexact.rank", ranked_blocks(pres, hom, 7)[0], by_core=False),
+        rank_row("fpexact.rank/genus3-onto-Z5^3", genus3, by_core=True),
+        rank_row("fpexact.rank/T3-onto-Z5^3", t3, by_core=True),
         ("fpexact.rref", lambda: fpexact.rref(dense), rref_answer),
         ("covers.build_cover", lambda: build_cover(pres, hom, 7),
          lambda c: {"b0": c.b0, "b1": c.b1, "b2": c.b2}),

@@ -14,6 +14,11 @@ both recorded so the factorization can be replayed:
 
 No scaling operation is ever emitted, so the diagonal of the normal form
 consists of nonzero field elements that are *not* normalized to 1.
+
+``rank`` first applies structured Gaussian elimination (LaMacchia &
+Odlyzko, CRYPTO '90): zero rows and columns go, weight-1 rows and columns
+are pivoted on in bulk, and weight-2 rows or columns are contracted along
+a spanning forest; the dense kernel ``_echelon`` eliminates what is left.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ PANEL = 64  # _echelon's panel width; PANEL * (MAX_PRIME - 1)^2 < 2^53 keeps pan
 DEFER_ENTRIES = 4096  # updates touching at least this many trailing entries are recorded, not applied
 _FLUSH_ROWS = 64  # rows per chunk of a deferred panel product, to bound its temporaries
 _MUL_ENTRIES = 1 << 16  # entries of _mul_mod's right operand copied to float64 at a time
+STRUCTURED_SIDE = 64  # rank hands an array with both sides below this to _echelon as it is
 
 _entry_cap: int | None = None  # read from HCC_MATRIX_CAP on first use
 
@@ -417,11 +423,75 @@ def _echelon(a: np.ndarray, p: int, reduced: bool = False) -> list[int]:
     return pivots
 
 
+def _contract(r: np.ndarray, c: np.ndarray, v: np.ndarray, rw: np.ndarray, n: int, p: int) -> tuple:
+    """Contract a breadth-first spanning forest of the graph on the n columns
+    whose edges are the weight-2 rows: each tree edge is one pivot, and each
+    tree becomes its root's column sum(s_c col_c), with s_root = 1 and
+    s_y = -s_x a[e, x] / a[e, y] for the tree row e that reached y from x, so
+    every tree row is 0 on it.  Returns the rows on those columns and the pivots."""
+    k = np.flatnonzero(rw[r] == 2)
+    pairs = k[np.argsort(r[k], kind="stable")].reshape(-1, 2)  # the two entries of each weight-2 row
+    src, dst, at_dst = c[pairs].ravel(), c[pairs[:, ::-1]].ravel(), v[pairs[:, ::-1]].ravel()  # arc 2e + 1 reverses 2e
+    distinct, back = np.unique(at_dst, return_inverse=True)
+    ratio = -v[pairs].ravel() * np.array([inv_mod(x, p) for x in distinct.tolist()])[back] % p
+    seen, first, s, root, pivots = np.zeros(n, bool), np.zeros(n, np.intp), np.ones(n, np.int64), np.arange(n), 0
+    for x0 in (x for x in np.flatnonzero(np.bincount(src, minlength=n)).tolist() if not seen[x]):  # tree roots
+        seen[x0] = True
+        while (arcs := np.flatnonzero(seen[src] & ~seen[dst])).size:  # out of the last level only
+            first[dst[arcs]] = arcs
+            arcs = arcs[first[dst[arcs]] == arcs]  # one arc into each column of the next level
+            x, y = src[arcs], dst[arcs]
+            seen[y], s[y], root[y] = True, s[x] * ratio[arcs] % p, root[x]
+            pivots += arcs.size
+    key, i = np.unique(r * n + root[c], return_inverse=True)
+    v = np.bincount(i, weights=v * s[c] % p).astype(np.int64) % p  # exact: n residues sum below 2^53
+    r, c = np.divmod(key[v != 0], n)
+    return r, c, v[v != 0], pivots
+
+
+def _structured(a: np.ndarray, p: int) -> tuple[np.ndarray, int]:
+    """``rank``'s structured pass on the nonzero entries (r, c, v) of ``a``:
+    the core it leaves, and the rank it eliminated.  A step costs about the
+    entries left, so the pass stops once a step pivots on fewer than one line
+    per n_rows + n_cols of them.  Before the first step the lines of weight
+    at most 2 stand in for its pivots, and with too few ``a`` is the core."""
+    nz = a != 0
+    rw, cw = nz.sum(axis=1, dtype=np.int32), nz.sum(axis=0, dtype=np.int32)
+    (n_rows, n_cols), eliminated, k = a.shape, 0, max(np.count_nonzero(rw <= 2), np.count_nonzero(cw <= 2))
+    if k * (n_rows + n_cols) < rw.sum():
+        return a, 0
+    r, c = np.divmod(np.flatnonzero(nz), n_cols)
+    v = a[r, c].astype(np.int64)
+    while k * (n_rows + n_cols) >= r.size:
+        if (rw == 1).any() or (cw == 1).any():  # weight-1 rows, or else columns: no pivot changes another entry
+            x, y, w, n = (r, c, rw, n_cols) if (rw == 1).any() else (c, r, cw, n_rows)
+            one, hit = w[x] == 1, np.zeros(n, dtype=bool)
+            hit[y[one]] = True  # one pivot per distinct line they hit
+            keep, k = ~(one | hit[y]), int(np.count_nonzero(hit))
+            r, c, v = r[keep], c[keep], v[keep]
+        elif (rw == 2).any():
+            r, c, v, k = _contract(r, c, v, rw, n_cols, p)
+        elif (cw == 2).any():
+            c, r, v, k = _contract(c, r, v, cw, n_rows, p)
+        else:
+            break
+        eliminated += k
+        rw, cw = np.bincount(r, minlength=n_rows), np.bincount(c, minlength=n_cols)
+    core = np.zeros((np.count_nonzero(rw), np.count_nonzero(cw)), dtype=np.int64)  # zero lines go
+    core[np.cumsum(rw > 0)[r] - 1, np.cumsum(cw > 0)[c] - 1] = v
+    return core, eliminated
+
+
 def rank(m: FpMatrix) -> int:
-    """F_p-rank via Gaussian elimination on a copy in ``elimination_dtype``'s
-    width: int16 where the lazy bound is below 2^15 - 1, int32 below 2^31 - 1."""
-    a = m.array.astype(elimination_dtype(m.rows, m.cols, m.p))
-    return len(_echelon(a, m.p))
+    """F_p-rank.  A structured pass repeats three exact rules until none
+    applies: zero rows and columns go; the weight-1 rows, or else columns,
+    are pivoted on in bulk; the weight-2 rows, or else columns, are
+    contracted along a spanning forest (``_contract``).  ``_echelon`` then
+    eliminates the core on a copy in ``elimination_dtype``'s width.  An array
+    with both sides below STRUCTURED_SIDE, or too few lines of weight <= 2
+    for the pass to pay (``_structured``), is its own core."""
+    a, eliminated = _structured(m.array, m.p) if max(m.array.shape) >= STRUCTURED_SIDE else (m.array, 0)
+    return eliminated + len(_echelon(a.astype(elimination_dtype(*a.shape, m.p)), m.p))
 
 
 def kernel_dim(m: FpMatrix) -> int:

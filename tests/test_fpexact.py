@@ -52,6 +52,18 @@ def reference_rank(rows, p):
     return len(reference_rref(rows, p)[1])
 
 
+def banded(rng, rows, cols, p):
+    """A rows x cols band over F_p: each line across the longer side holds 5
+    cyclically consecutive entries from 1..p-1, their starts spread evenly,
+    so every row and column has weight at least 3."""
+    if rows > cols:
+        return banded(rng, cols, rows, p).T
+    i = np.repeat(np.arange(rows), 5)
+    data = np.zeros((rows, cols), dtype=np.int64)
+    data[i, (i * cols // rows + np.tile(np.arange(5), rows)) % cols] = rng.integers(1, p, size=i.size)
+    return data
+
+
 def random_matrix(rng, p, max_side=64):
     """A random matrix over F_p, often with zero columns and zero rows."""
     rows, cols = (int(x) for x in rng.integers(1, max_side, size=2))
@@ -365,12 +377,27 @@ class TestNarrowRank:
             seen.clear()
             assert rank(FpMatrix(*shape, data.ravel(), p)) == reference_rank(data.tolist(), p)
             assert seen == [width] and fpexact.elimination_dtype(*shape, p) is width, (p, shape)
-        # the edges at p = 7, and the heavy covers block, on zero matrices
+        # the edges at p = 7, and the heavy covers block's shape, on banded
+        # matrices with no line of weight below 3, which reach _echelon whole
         for shape, width in (((909, 950), np.int16), ((950, 909), np.int16), ((910, 950), np.int32),
                              ((687, 1029), np.int16)):
+            data = banded(rng, *shape, 7)
+            assert (data != 0).sum(axis=0).min() >= 3 and (data != 0).sum(axis=1).min() >= 3
             seen.clear()
-            assert rank(FpMatrix.zeros(*shape, 7)) == 0
+            assert rank(FpMatrix(*shape, data.ravel(), 7)) == len(echelon(data.copy(), 7))
             assert seen == [width] and fpexact.elimination_dtype(*shape, 7) is width, shape
+        # a reduced array reaches _echelon as its core, in the core's width:
+        # the 900 weight-1 rows of D + I go, and the 940 x 950 sum is past
+        # int16's edge but its 40 x 50 core D is not
+        dense = rng.integers(1, 7, size=(40, 50))
+        data = np.zeros((940, 950), dtype=np.int64)
+        data[:40, :50], data[40:, 50:] = dense, np.eye(900, dtype=np.int64)
+        cores = []
+        monkeypatch.setattr(fpexact, "_echelon", lambda a, p: cores.append(a.copy()) or echelon(a, p))
+        assert rank(FpMatrix(940, 950, data.ravel(), 7)) == 900 + reference_rank(dense.tolist(), 7)
+        assert fpexact.elimination_dtype(940, 950, 7) is np.int32
+        assert len(cores) == 1 and cores[0].dtype == fpexact.elimination_dtype(40, 50, 7) == np.int16
+        assert np.array_equal(cores[0], dense)
 
     def test_narrow_echelon_equals_the_wide_one(self, monkeypatch):
         # every width the bound allows gives the int64 pivots and raw
@@ -455,6 +482,88 @@ class TestNarrowRank:
         reduced, pivots = rref(m)
         assert pivots == expected_pivots
         assert reduced.to_rows() == expected_rows
+
+
+def signed_graph(rng, p, rows, cols, balanced):
+    """Weight-2 rows on ``cols`` columns, entries from 1..p-1.  A share
+    ``balanced`` of them vanish on one column vector s (a[e, u] s_u +
+    a[e, v] s_v = 0), so every cycle of those rows is balanced; the others
+    are random; about one in six is a scaled copy of a row, parallel to it."""
+    s = rng.integers(1, p, size=cols)
+    u = rng.integers(0, cols, size=rows)
+    v = (u + rng.integers(1, cols, size=rows)) % cols
+    x = rng.integers(1, p, size=rows)
+    on_s = -x * s[u] * np.array([pow(int(t), p - 2, p) for t in s[v]]) % p
+    data = np.zeros((rows, cols), dtype=np.int64)
+    data[np.arange(rows), u] = x
+    data[np.arange(rows), v] = np.where(rng.random(rows) < balanced, on_s, rng.integers(1, p, size=rows))
+    again = np.flatnonzero(rng.random(rows) < 1 / 6)
+    data[again] = data[rng.integers(0, rows, size=again.size)] * rng.integers(1, p, size=(again.size, 1)) % p
+    return data
+
+
+def sparse_matrix(rng, p, rows, cols, density):
+    return np.where(rng.random((rows, cols)) < density, rng.integers(1, p, size=(rows, cols)), 0)
+
+
+def structured_draws(rng, p):
+    """Seeded inputs for the structured pass, sides from 2 to 90: signed
+    graphs and their transposes; sparse matrices with planted weight-1 rows
+    and columns; sparse matrices; sparse low-rank products; and a signed
+    graph beside a dense triangle, which the pass stops in."""
+    for k in range(72):
+        rows, cols = (int(x) for x in rng.integers(2, 91, size=2))
+        if k % 6 == 5:
+            data = np.zeros((rows + 40, cols + 40), dtype=np.int64)
+            data[:rows, :cols] = signed_graph(rng, p, rows, cols, 0.5)
+            data[rows:, cols:] = np.triu(rng.integers(1, p, size=(40, 40)))
+            yield data
+        elif k % 6 < 2:
+            data = signed_graph(rng, p, rows, cols, (0.0, 0.5, 1.0)[k % 3])
+            yield data.T if k % 6 else data
+        elif k % 6 == 2:
+            data = sparse_matrix(rng, p, rows, cols, 0.06)
+            for i in rng.choice(rows, size=min(rows, 4), replace=False):
+                data[i] = 0
+                data[i, rng.integers(cols)] = rng.integers(1, p)
+            for j in rng.choice(cols, size=min(cols, 4), replace=False):
+                data[:, j] = 0
+                data[rng.integers(rows), j] = rng.integers(1, p)
+            yield data
+        elif k % 6 == 3:
+            yield sparse_matrix(rng, p, rows, cols, rng.choice((0.01, 0.03, 0.08)))
+        else:
+            inner = int(rng.integers(1, 8))
+            yield sparse_matrix(rng, p, rows, inner, 0.2) @ sparse_matrix(rng, p, inner, cols, 0.2) % p
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, MAX_PRIME])
+def test_structured_rank_against_the_dense_kernel(monkeypatch, p):
+    # entries other than +-1 matter: a weight-2 row's two entries swapped in
+    # s_y still give every rank at p <= 3, where each nonzero is +-1
+    calls = []
+    contract = fpexact._contract
+    monkeypatch.setattr(fpexact, "_contract", lambda *args: calls.append(1) or contract(*args))
+    rng = np.random.default_rng(67 + p % 1000)
+    for k, data in enumerate(structured_draws(rng, p)):
+        expected = len(fpexact._echelon(data.copy(), p))
+        if k % 3 == 0:
+            assert expected == reference_rank(data.tolist(), p)
+        assert rank(FpMatrix(*data.shape, data.ravel(), p)) == expected, (p, k, data.shape)
+        assert rank(FpMatrix(*data.T.shape, data.T.ravel(), p)) == expected, (p, k, data.shape)
+    assert len(calls) >= 25  # the forest contraction ran
+
+
+def test_structured_pass_stops_where_it_does_not_pay(monkeypatch):
+    # a dense triangle would give the pass one weight-1 line per step, each
+    # step scanning every entry left: it goes to _echelon whole
+    seen = []
+    echelon = fpexact._echelon
+    monkeypatch.setattr(fpexact, "_echelon", lambda a, p: seen.append(a.shape) or echelon(a, p))
+    rng = np.random.default_rng(71)
+    for data in (np.triu(rng.integers(1, 7, size=(200, 200))), np.tril(rng.integers(1, 7, size=(250, 250)))):
+        seen.clear()
+        assert rank(FpMatrix(*data.shape, data.ravel(), 7)) == min(data.shape) and seen == [data.shape]
 
 
 def test_matmul_in_two_float_chunks_at_max_prime():
