@@ -23,6 +23,10 @@ as text, mapped onto (Z3)^2.  Each row is named after its layer in
 * ``covers.build_cover`` -- the whole cover, the group and homomorphism
   built beforehand;
 * ``presentations.parse_presentation`` -- parsing the 9,000-letter text;
+* ``presentations.parse_presentation/spaced`` -- parsing the same relators
+  spelled ``a ^ -1``, with tabs, newlines and free-standing commas, which
+  the parser reads after gluing each '^' to its neighbours; its answer,
+  the words digest, is the canonical row's;
 * ``presentations.reidemeister_schreier`` -- the rewrite of that
   presentation along its map onto (Z3)^2: 27 relators on 19 generators;
 * ``presentations.complex_summary`` -- the mod-3 homology of that kernel;
@@ -85,6 +89,7 @@ EXPECTED = {"fpexact.rank": "d6a6659f9aa96a60", "fpexact.rank/genus3-onto-Z5^3":
             "fpexact.rank/T3-onto-Z5^3": "ff9483a241faca1b", "fpexact.rref": "85567eb5f3dac498",
             "covers.build_cover": "6049a0d1d60c853e",
             "presentations.parse_presentation": "4ab8021ae9fa17da",
+            "presentations.parse_presentation/spaced": "4ab8021ae9fa17da",
             "presentations.reidemeister_schreier": "fc58dc1f5b7db128",
             "presentations.complex_summary": "9361aa30680a8d4a",
             "groupring.filtration_profile": "522ca6961637b157"}
@@ -160,12 +165,18 @@ def rank_row(name: str, block: fpexact.FpMatrix, by_core: bool):
             lambda r: {"shape": [block.rows, block.cols], "p": block.p, "block_sha256": sha, "rank": r, **seen})
 
 
-def long_text() -> str:
-    """The word rows' presentation, spelled one letter per term."""
+def long_text(spaced: bool = False) -> str:
+    """The word rows' presentation, spelled one letter per term; ``spaced``
+    spells an inverse ``a ^ -1``, puts a space, a tab and a newline between
+    terms in turn, and each comma on a line of its own."""
     rng = random.Random("perf:relators-words")
     relators = [commutator_relator(rng, 3, 3000).letters for _ in range(3)]
-    return "< a, b, c | " + ", ".join(" ".join("abc"[g] + ("" if s == 1 else "^-1") for g, s in w)
-                                      for w in relators) + " >"
+    if not spaced:
+        return "< a, b, c | " + ", ".join(" ".join("abc"[g] + ("" if s == 1 else "^-1") for g, s in w)
+                                          for w in relators) + " >"
+    gaps = itertools.cycle((" ", "\t", "\n"))
+    return "< a, b, c |" + "\n,\n".join("".join(next(gaps) + "abc"[g] + ("" if s == 1 else " ^ -1") for g, s in w)
+                                        for w in relators) + "\n>"
 
 
 def s3_times_ea() -> OrderedGroup:
@@ -217,7 +228,7 @@ def kernels():
     genus3 = ranked_blocks(*onto_z5_cubed(
         "genus3", "< a, b, c, d, e, f | a b a^-1 b^-1 c d c^-1 d^-1 e f e^-1 f^-1 >"), 5)[0]
     t3 = ranked_blocks(*onto_z5_cubed("t3", "< a, b, c | a b a^-1 b^-1, a c a^-1 c^-1, b c b^-1 c^-1 >"), 5)[0]
-    text = long_text()
+    text, spaced = long_text(), long_text(spaced=True)
     words = parse_presentation(text)
     z3 = make_elementary_abelian(3, 2)
     onto = Homomorphism(words, z3, [z3.ea_index[t] for t in ((1, 0), (0, 1), (1, 1))])
@@ -232,6 +243,7 @@ def kernels():
         ("covers.build_cover", lambda: build_cover(pres, hom, 7),
          lambda c: {"b0": c.b0, "b1": c.b1, "b2": c.b2}),
         ("presentations.parse_presentation", lambda: parse_presentation(text), words_digest),
+        ("presentations.parse_presentation/spaced", lambda: parse_presentation(spaced), words_digest),
         ("presentations.reidemeister_schreier", lambda: reidemeister_schreier(words, onto), words_digest),
         ("presentations.complex_summary", lambda: complex_summary(kernel, 3),
          lambda s: {"b1": s.b1, "b2": s.b2, "rank": s.rank}),

@@ -480,16 +480,6 @@ class FiltrationProfile:
     nilpotent: bool
     stabilization_k: int
 
-    def lambda_at(self, k: int) -> int:
-        if k < 0:
-            raise ValueError("k must be non-negative")
-        return self.lambdas[k] if k < len(self.lambdas) else 0
-
-    def delta_dim_at(self, k: int) -> int:
-        if k < 0:
-            raise ValueError("k must be non-negative")
-        return self.delta_dims[min(k, len(self.delta_dims) - 1)]
-
     def contains(self, k: int, v: GroupRingElement) -> bool:
         """Membership of ``v`` in the k-th power, by pivot-order reduction against the echelon basis."""
         if k < 0:

@@ -175,9 +175,6 @@ class InequalitySuiteReport:
     def family(self, name: str) -> tuple[InequalityRow, ...]:
         return tuple(row for row in self.rows if row.family == name)
 
-    def equality_params(self, name: str) -> tuple[tuple[int, ...], ...]:
-        return tuple(row.params for row in self.family(name) if row.equality)
-
     def discipline_violations(self) -> tuple[str, ...]:
         """Mismatches against the expected pass/equality pattern."""
         bad: list[str] = []

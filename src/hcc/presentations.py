@@ -24,7 +24,11 @@ Presentation text grammar::
 
 Exponents other than +-1 expand to repeated letters, e.g.
 ``< a, b | a b a^-1 b^-1 >``; the letters of a whole presentation count
-against the entry cap, checked before each term is expanded.
+against the entry cap, checked before any term is expanded.  A valid text
+takes the distinct-term path: relators split on commas, then on whitespace,
+and each distinct term translated once.  The token loop (a stray-character
+search, one ``findall`` of the tokens, one step per token) reads the texts
+it declines, to word their errors or parse a term glued to the next (a^2b).
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -62,13 +66,13 @@ class PresentationSyntaxError(ValueError):
         self.col = col
 
 
-def _free_reduce(codes: np.ndarray) -> np.ndarray:
-    """Free reduction of a code array, one stack step per letter; an array
-    with no adjacent inverse pair is already reduced and is kept."""
-    if not (codes[1:] == codes[:-1] ^ 1).any():
+def _free_reduce(codes: np.ndarray | list[int]) -> np.ndarray:
+    """Free reduction of letter codes, one stack step per letter; an array with
+    no adjacent inverse pair is kept, and a list (a short relator) is not checked."""
+    if isinstance(codes, np.ndarray) and not (codes[1:] == codes[:-1] ^ 1).any():
         return codes
     out = [-2]  # a sentinel no code cancels
-    for c in codes.tolist():
+    for c in codes.tolist() if isinstance(codes, np.ndarray) else codes:
         if out[-1] == c ^ 1:
             out.pop()
         else:
@@ -160,10 +164,6 @@ class FreeWord:
         """Largest generator index used, or -1 for the empty word."""
         return int(self._codes.max()) >> 1 if len(self._codes) else -1
 
-    def map_letters(self, image: Mapping[tuple[int, int], tuple[tuple[int, int], ...]]) -> "FreeWord":
-        """Substitute each letter by its image's letters: one join, then one reduction."""
-        return FreeWord(itertools.chain.from_iterable(map(image.__getitem__, self.letters)))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, FreeWord):
             return NotImplemented
@@ -242,6 +242,8 @@ class Presentation:
 # stray character (see _STRAY_RE) is covered by these tokens exactly.
 _TOKEN_RE = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*|[+-]?[0-9]+|[<>|,^])")
 _STRAY_RE = re.compile(r"[^\sA-Za-z_0-9<>|,^+-]|[+-](?![0-9])")
+_EXPONENT_RE = re.compile(r"[+-]?[0-9]{1,18}")  # of a term on the distinct-term path
+_GLUE_RE = re.compile(r"\s*\^\s*")
 _INT_START = frozenset("+-0123456789")
 _EOF = "end of input"  # the last token; it is what an error says it found
 
@@ -254,9 +256,47 @@ def _syntax_error(text: str, k: int, message: str) -> PresentationSyntaxError:
     return PresentationSyntaxError(message, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
 
 
+def _parse_terms(text: str) -> Presentation | None:
+    """The distinct-term path; None for a text it declines: a stray character,
+    an unknown or repeated name, an empty relator, a term glued to the next
+    (``a^2b``), a 19-digit exponent, or letters above the cap."""
+    s = text.strip()
+    head, bar, body = s[1:-1].partition("|")
+    names = [name.strip() for name in head.split(",")]
+    index = {name: g for g, name in enumerate(names)}
+    rels = [r.split() for r in body.split(",")] if body.strip() else []  # a relator's terms
+    if (s[:1] != "<" or s[-1:] != ">" or not bar or not all(rels) or len(index) < len(names)
+            or not all(map(_IDENT_RE.fullmatch, names))):
+        return None
+    terms = {}  # distinct term -> (letter code, number of letters)
+    for term in set(itertools.chain.from_iterable(rels)):
+        name, caret, exponent = term.partition("^")
+        g = index.get(name)
+        if g is None or caret and not _EXPONENT_RE.fullmatch(exponent):
+            glued = _GLUE_RE.sub("^", body)  # '^' glued to its neighbours where whitespace meets it
+            return None if glued == body else _parse_terms(f"<{head}|{glued}>")
+        k = int(exponent) if caret else 1
+        terms[term] = (2 * g + (k < 0), abs(k))
+    if rels:  # the text is valid, so the loop would read the cap at its first term
+        cap = entry_cap()
+        if max(k for _, k in terms.values()) * sum(map(len, rels)) > cap and sum(
+                terms[t][1] for t in itertools.chain.from_iterable(rels)) > cap:
+            return None
+    table = {term: (c,) * k for term, (c, k) in terms.items()}
+    joined = (list(itertools.chain.from_iterable(map(table.__getitem__, r))) for r in rels)
+    # below 128 letters one stack pass costs less than numpy's adjacency check
+    relators = [_free_reduce(c if len(c) < 128 else np.array(c, dtype=np.int32)) for c in joined]
+    return Presentation(tuple(names), tuple(map(FreeWord._wrap, relators)))
+
+
 def parse_presentation(text: str) -> Presentation:
     """Parse the presentation grammar; raises PresentationSyntaxError with
-    line/column on malformed input."""
+    line/column on malformed input, as worded by the token loop."""
+    return _parse_terms(text) or _parse_tokens(text)
+
+
+def _parse_tokens(text: str) -> Presentation:
+    """The token loop: the reference parse, and the one that words errors."""
     stray = _STRAY_RE.search(text)
     if stray:  # a stray character is reported before any grammar error
         pos = stray.start()

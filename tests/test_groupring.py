@@ -323,23 +323,20 @@ class TestFiltration:
         assert prof.lambdas == (1, 2, 1)
         assert prof.nilpotent
         assert prof.delta_dims == (4, 3, 1, 0)
-        assert prof.delta_dim_at(3) == 0
 
     def test_z4_mod2(self):
         prof = filtration_profile(2, make_cyclic(4))
         assert prof.delta_dims == (4, 3, 2, 1, 0)
         assert prof.lambdas == (1, 1, 1, 1)
         assert prof.nilpotent
-        # past the last level, the filtration stays at 0
-        assert (prof.delta_dim_at(3), prof.lambda_at(1), prof.delta_dim_at(9), prof.lambda_at(9)) == (1, 1, 0, 0)
 
     def test_z2_mod3_not_nilpotent(self):
         prof = filtration_profile(3, make_cyclic(2))
         assert prof.delta_dims == (2, 1, 1)
         assert not prof.nilpotent
         assert prof.stabilization_k == 1
-        assert prof.lambda_at(0) == 1 and prof.lambda_at(5) == 0
-        assert prof.delta_dim_at(5) == 1  # the stable dimension, past the last level
+        assert prof.lambdas == (1, 0)
+        assert prof.delta_dims[-1] == 1  # the stable dimension, kept past the last level
 
     def test_first_two_dims(self):
         for p, g in ((2, make_cyclic(6)), (3, make_elementary_abelian(3, 2))):
@@ -352,7 +349,7 @@ class TestFiltration:
         prof = filtration_profile(2, make_elementary_abelian(2, 3))
         assert sum(prof.lambdas) == 8
         for k in range(len(prof.delta_dims)):
-            assert prof.delta_dim_at(k) == sum(prof.lambdas[k:])
+            assert prof.delta_dims[k] == sum(prof.lambdas[k:])
 
     def test_membership(self):
         g = make_elementary_abelian(2, 2)
@@ -368,9 +365,8 @@ class TestFiltration:
         prof = filtration_profile(2, g)
         e = GroupRingElement.delta(g, 2, 0)
         assert prof.contains(0, e)
-        for ask in (prof.contains, lambda k, _: prof.lambda_at(k), lambda k, _: prof.delta_dim_at(k)):
-            with pytest.raises(ValueError, match="k must be non-negative"):
-                ask(-1, e)
+        with pytest.raises(ValueError, match="k must be non-negative"):
+            prof.contains(-1, e)
 
     def test_cache_holds_dims_once_per_table(self, monkeypatch):
         # one Jennings run per (p, table) across distinct group objects; each

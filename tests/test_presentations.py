@@ -1,3 +1,6 @@
+import itertools
+import random
+import re
 import time
 import tracemalloc
 from collections import Counter
@@ -22,6 +25,11 @@ from hcc.presentations import (
 )
 from test_covers import random_case
 from test_groupring import PROFILE_GROUPS
+
+
+def map_letters(word, image):
+    """Substitute each letter of ``word`` by its image's letters: one join, then one reduction."""
+    return FreeWord(itertools.chain.from_iterable(map(image.__getitem__, word.letters)))
 
 
 class TestFreeWord:
@@ -63,7 +71,7 @@ class TestFreeWord:
         w = FreeWord([(0, 1), (1, 1), (0, -1)])
         image = {(0, 1): ((0, 1), (1, 1)), (0, -1): ((1, -1), (0, -1)), (1, 1): ((1, -1),), (1, -1): ((1, 1),)}
         # a b a^-1 -> (a b) b^-1 (b^-1 a^-1), reduced once
-        assert w.map_letters(image).letters == ((0, 1), (1, -1), (0, -1))
+        assert map_letters(w, image).letters == ((0, 1), (1, -1), (0, -1))
 
     def test_generator_swap_keeps_words_reduced(self):
         rng = np.random.default_rng(15)
@@ -72,7 +80,7 @@ class TestFreeWord:
             w = FreeWord([(int(rng.integers(0, 3)), int(rng.choice([1, -1]))) for _ in range(20)])
             swapped = tuple(swap[letter][0] for letter in w.letters)
             assert FreeWord(swapped).letters == swapped
-            assert w.map_letters(swap) == FreeWord(swapped)
+            assert map_letters(w, swap) == FreeWord(swapped)
 
 
 class TestParser:
@@ -181,43 +189,168 @@ class TestParser:
 
     def test_roundtrip_random_layout(self):
         rng = np.random.default_rng(11)
-        spaces = [" ", "\t", "\n", "\r\n", " \n\t"]
-
-        def gap():
-            return "".join(rng.choice(spaces) for _ in range(int(rng.integers(0, 3))))
-
         for _ in range(300):
-            names = ["a", "b", "c", "d"][: int(rng.integers(1, 5))]
-            relators = []
-            tokens = ["<", *" , ".join(names).split(), "|"]
-            expanded = []  # x^k spelled as k copies of x (or of x^-1)
-            while len(relators) < 3 and rng.random() < 0.75:
-                terms = [
-                    (int(rng.integers(0, len(names))), int(rng.choice([-1, 1])) * int(rng.integers(1, 4)))
-                    for _ in range(int(rng.integers(1, 6)))
-                ]
-                word = FreeWord([(g, 1 if k > 0 else -1) for g, k in terms for _ in range(abs(k))])
-                if not word:
-                    continue
-                tokens += [","] if relators else []
-                relators.append(word)
-                for g, k in terms:
-                    tokens.append(names[g])
-                    if k != 1 or rng.random() < 0.5:
-                        tokens += ["^", f"+{k}" if k > 0 and rng.random() < 0.3 else str(k)]
-                expanded.append(" ".join(names[g] + ("" if k > 0 else "^-1") for g, k in terms for _ in range(abs(k))))
-            tokens.append(">")
-            text = gap()
-            for prev, tok in zip([""] + tokens, tokens):
-                between = gap()
-                if not between and prev[-1:].isalnum() and tok[0].isalnum():
-                    between = " "  # two names, or a name and a number, would run together
-                text += between + tok
-            text += gap()
-            pres = Presentation(tuple(names), tuple(relators))
+            text, pres, expanded = random_layout(rng)
             assert parse_presentation(text) == pres, text
             assert parse_presentation(pres.to_text()) == pres
-            assert parse_presentation(f"< {', '.join(names)} | {', '.join(expanded)} >") == pres
+            assert parse_presentation(expanded) == pres
+
+    def test_distinct_term_path_agrees_with_token_loop(self):
+        # str.split, which the distinct-term path splits with, and the regex \s of the
+        # token loop must agree on every character the mutations insert
+        for ch in "".join(MUTATION_CHARS):
+            splits = ("x" + ch + "x").split() == ["x", "x"]
+            assert splits == bool(re.fullmatch(r"\s", ch)) == (ch in " \t\n\r\xa0\u2003\u3000\x1c\x85"), repr(ch)
+        rng = random.Random(20261021)
+        texts = [commutator_text(rng, n, length) for n, length in ((3, 2000), (2, 900), (3, 300), (4, 60), (2, 12))]
+        layout = np.random.default_rng(32)
+        texts += [random_layout(layout)[0] for _ in range(40)]
+        old = fpexact.entry_cap()
+        try:
+            for i, text in enumerate(texts):
+                # every other text runs under a cap of its own letter count, which a mutation can cross
+                terms = re.findall(r"[A-Za-z_][A-Za-z_0-9]*(?:\s*\^\s*([+-]?[0-9]+))?", text.partition("|")[2])
+                fpexact.set_entry_cap(max(sum(abs(int(k or 1)) for k in terms), 1) if i % 2 else old)
+                for t in [text] + [mutate(rng, text) for _ in range(60)]:
+                    assert outcome(parse_presentation, t) == outcome(presentations._parse_tokens, t), repr(t)
+        finally:
+            fpexact.set_entry_cap(old)
+
+    def test_valid_texts_skip_token_loop(self, monkeypatch):
+        texts = [
+            "< a, b | a b a^-1 b^-1 >",
+            "< a, b | a ^ -1 b, b ^-2 a^ +3 >",
+            "< a, b | a,b , a b,\n b >",
+            "< a,b|a b^-1,b>",
+            "\t< a, b |\r\n a\n a^+2 b\xa0b^-1 >\n",
+            "< x, y | x^0 y, x^007 y^-0 >",
+            "< a | >",
+            "< a, b |\n >",
+            commutator_text(random.Random(7), 3, 500),
+        ]
+        expected = [presentations._parse_tokens(text) for text in texts]
+        monkeypatch.setattr(fpexact, "_entry_cap", 1000)
+        texts += ["< a | a^1000 >", "< a | " + "a " * 1000 + ">", "< a, b | a^600, b b^399 >",
+                  "< a, b | a^500 b b b >"]  # exactly at the cap; and below it, though above 500 x 4 terms
+        expected += [presentations._parse_tokens(text) for text in texts[len(expected):]]
+
+        def refuse(text):
+            raise AssertionError(f"the token loop read a valid text: {text!r}")
+
+        monkeypatch.setattr(presentations, "_parse_tokens", refuse)
+        for text, pres in zip(texts, expected):
+            assert parse_presentation(text) == pres
+
+    def test_cap_errors_worded_by_token_loop(self, monkeypatch):
+        monkeypatch.setattr(fpexact, "_entry_cap", 1000)
+        for text in ("< a | a^1001 >", "< a, b | a^600, b b^399 a >", "< a | " + "a " * 1001 + ">",
+                     "< a, b | a^999 b^-2 a^5 >"):
+            with pytest.raises(CapExceededError) as info:
+                parse_presentation(text)
+            with pytest.raises(CapExceededError) as reference:
+                presentations._parse_tokens(text)
+            assert str(info.value) == str(reference.value)
+            assert str(info.value).startswith("presentation needs 1001 entries, above the cap of 1000")
+
+    def test_bad_cap_read_where_token_loop_reads_it(self, monkeypatch):
+        monkeypatch.setattr(fpexact, "_entry_cap", None)  # read HCC_MATRIX_CAP again
+        monkeypatch.setenv("HCC_MATRIX_CAP", "lots")
+        assert parse_presentation("< a | >") == Presentation(("a",), ())
+        assert parse_presentation("< a, b |\n >").relators == ()
+        # the loop reads the cap at the first term, even when a later one is bad
+        for text in ("< a | a >", "< a | a^0 >", "< a | a, x >", "< a | a b >"):
+            with pytest.raises(ValueError, match="HCC_MATRIX_CAP must be a positive integer, got 'lots'"):
+                parse_presentation(text)
+        # an error found before the first term wins
+        for text, message in (("< a | x >", "unknown generator 'x'"), ("< a | , a >", "expected a word"),
+                              ("< a, a | a >", "duplicate generator 'a'")):
+            with pytest.raises(PresentationSyntaxError, match=message):
+                parse_presentation(text)
+
+
+# one-character edits for the differential test: grammar characters, digits,
+# and whitespace str.split and the regex \s must both see, Unicode included
+MUTATION_CHARS = ["^", "+", "-", "0", "7", ",", "|", "<", ">", "a", "b", "x", "_", "*", " ", "\t", "\n", "\r\n",
+                  "\xa0", "\u2003", "\u3000", "\x1c", "\x85"]
+
+
+def mutate(rng, text):
+    """``text`` with one to three characters inserted, deleted or replaced."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        cut = rng.choice((0, 1))  # 0 inserts, 1 deletes or replaces
+        text = text[:i] + rng.choice(MUTATION_CHARS + [""] * 4) * (cut or 1) + text[i + cut:]
+    return text
+
+
+def outcome(parse, text):
+    """A parse's presentation, or its error's type, text, line and column."""
+    try:
+        return parse(text)
+    except (PresentationSyntaxError, CapExceededError) as e:
+        return type(e), str(e), getattr(e, "line", None), getattr(e, "col", None)
+
+
+def commutator_text(rng, n, length):
+    """A product of commutators of one- and two-letter words on n generators,
+    at least ``length`` letters, spelled with powers, '+' signs, spaced '^',
+    tabs, newlines and free-standing commas between relators, at random."""
+    names = "abcdefgh"[:n]
+    letters = []
+    while len(letters) < length:
+        u, v = ([(rng.randrange(n), rng.choice((1, -1))) for _ in range(rng.randint(1, 2))] for _ in "uv")
+        letters += u + v + [(g, -s) for g, s in reversed(u)] + [(g, -s) for g, s in reversed(v)]
+    terms = []
+    for (g, s), run in itertools.groupby(letters):
+        k = len(list(run))
+        powers = [k] if rng.random() < 0.5 else [1] * k
+        for e in powers:
+            exponent = "" if s * e == 1 and rng.random() < 0.8 else f"{rng.choice(('', '+')) if s > 0 else '-'}{e}"
+            caret = rng.choice(("^", "^", "^", " ^ ", "^\t", "\n^"))
+            terms.append(names[g] + (caret + exponent if exponent else ""))
+    cuts = sorted(rng.sample(range(1, len(terms)), 2)) if len(terms) > 2 else []
+    words = [terms[i:j] for i, j in zip([0] + cuts, cuts + [len(terms)])]
+    return f"< {', '.join(names)} | " + rng.choice((", ", " ,\n", "\t,\t")).join(
+        "".join(rng.choice((" ", " ", "\t", "\n")) + t for t in w) for w in words) + " >"
+
+
+def random_layout(rng):
+    """A random presentation on up to four generators, its tokens spaced at
+    random: the text, the presentation, and its relators' letters spelled one
+    letter per term."""
+    spaces = [" ", "\t", "\n", "\r\n", " \n\t"]
+
+    def gap():
+        return "".join(rng.choice(spaces) for _ in range(int(rng.integers(0, 3))))
+
+    names = ["a", "b", "c", "d"][: int(rng.integers(1, 5))]
+    relators = []
+    tokens = ["<", *" , ".join(names).split(), "|"]
+    expanded = []  # x^k spelled as k copies of x (or of x^-1)
+    while len(relators) < 3 and rng.random() < 0.75:
+        terms = [
+            (int(rng.integers(0, len(names))), int(rng.choice([-1, 1])) * int(rng.integers(1, 4)))
+            for _ in range(int(rng.integers(1, 6)))
+        ]
+        word = FreeWord([(g, 1 if k > 0 else -1) for g, k in terms for _ in range(abs(k))])
+        if not word:
+            continue
+        tokens += [","] if relators else []
+        relators.append(word)
+        for g, k in terms:
+            tokens.append(names[g])
+            if k != 1 or rng.random() < 0.5:
+                tokens += ["^", f"+{k}" if k > 0 and rng.random() < 0.3 else str(k)]
+        expanded.append(" ".join(names[g] + ("" if k > 0 else "^-1") for g, k in terms for _ in range(abs(k))))
+    tokens.append(">")
+    text = gap()
+    for prev, tok in zip([""] + tokens, tokens):
+        between = gap()
+        if not between and prev[-1:].isalnum() and tok[0].isalnum():
+            between = " "  # two names, or a name and a number, would run together
+        text += between + tok
+    text += gap()
+    return text, Presentation(tuple(names), tuple(relators)), f"< {', '.join(names)} | {', '.join(expanded)} >"
 
 
 class TestFoxDerivative:
@@ -539,7 +672,7 @@ def check_against_reference(pres, hom):
     image = {(g, s): (word**s).letters for g, word in enumerate(schreier) for s in (1, -1)}
     for rel in pres.relators:
         for rep in reps:
-            word = next(rewritten).map_letters(image)
+            word = map_letters(next(rewritten), image)
             assert word == rep * rel * rep.inverse()
 
 
