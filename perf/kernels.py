@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Kernel rows: the heaviest rank of the ``covers`` workload, the word
-layers of the ``relators`` workload and one filtration profile, each
-measured alone.
+layers of the ``relators`` workload, dense kernels, one filtration profile
+and its membership test, each measured alone.
 
 Rebuilds a block of the shape of the ``covers`` workload's heaviest one
 from its own seeded presentation: three 32-letter commutator relators on
@@ -20,6 +20,12 @@ as text, mapped onto (Z3)^2.  Each row is named after its layer in
 * ``fpexact.rref`` -- the reduced row-echelon form of a dense seeded
   1024 x 1024 matrix at p = 7 with 24 dependent columns (rank 1000),
   through the elimination kernel ``rank`` shares;
+* ``fpexact.rank/dense-1024-p2`` and ``fpexact.rref/dense-1024-p2`` -- the
+  same at p = 2: the rank of the matrix and its reduced form;
+* ``fpexact.matmul/dense-1024-p2`` and ``fpexact.matmul/dense-1024-p7`` --
+  the square of the dense matrix at p = 2 and at p = 7;
+* ``fpexact.smith_normal_form`` -- the normal form of the mod-3 exponent-sum
+  matrix of the rewrite below (19 x 27, the size of a ``relators`` kernel);
 * ``covers.build_cover`` -- the whole cover, the group and homomorphism
   built beforehand;
 * ``presentations.parse_presentation`` -- parsing the 9,000-letter text;
@@ -32,7 +38,11 @@ as text, mapped onto (Z3)^2.  Each row is named after its layer in
 * ``presentations.complex_summary`` -- the mod-3 homology of that kernel;
 * ``groupring.filtration_profile`` -- the profile of F_3[S3 x (Z2)^8]
   (|H| = 1536), computed afresh on every call: the dims cache is emptied
-  and the table's cached hash dropped first.
+  and the table's cached hash dropped first;
+* ``groupring.FiltrationProfile.contains`` and ``.../p2`` -- sixteen
+  membership questions in F_3 and F_2[S3 x (Z2)^8], asked of a new profile
+  on every call (its dimensions cached), so each call builds what
+  membership reads: H/N is trivial at p = 3 and (Z2)^9 at p = 2.
 
 A row records the median and interquartile range of ``--reps`` timed
 calls after one warm-up call, the tracemalloc peak of one more call, and
@@ -40,7 +50,9 @@ the answer with its digest (the block's bytes, its rank and the width
 of the array ``rank`` hands ``fpexact._echelon`` for it, or for the
 mid-size blocks the shape of that array, the core; the rref's
 pivots, as its rank and the columns without one, and a digest of the
-reduced array; the cover's Betti numbers; the profile's dimensions).  A
+reduced array; a digest of the product; the normal form's diagonal and
+a digest of its operations; the cover's Betti numbers; the profile's
+dimensions; the membership answers).  A
 run records the machine, the versions, the git commit (``git describe
 --dirty``, so a run on uncommitted changes reads ``<commit>-dirty``) and
 a digest of ``src/hcc``, and replaces the run of the same ``--label`` in
@@ -75,11 +87,12 @@ import numpy as np  # noqa: E402
 
 from hcc import fpexact, groupring  # noqa: E402
 from hcc.covers import Homomorphism, build_cover  # noqa: E402
-from hcc.groupring import OrderedGroup, make_elementary_abelian, make_product  # noqa: E402
+from hcc.groupring import OrderedGroup, delta_product, make_elementary_abelian, make_product  # noqa: E402
 from hcc.presentations import (  # noqa: E402
     FreeWord,
     Presentation,
     complex_summary,
+    exponent_sum_matrix,
     parse_presentation,
     reidemeister_schreier,
 )
@@ -87,12 +100,17 @@ from hcc.presentations import (  # noqa: E402
 OUT = os.path.join(ROOT, "BENCH_kernels.json")
 EXPECTED = {"fpexact.rank": "d6a6659f9aa96a60", "fpexact.rank/genus3-onto-Z5^3": "7871dfd76168c0ae",
             "fpexact.rank/T3-onto-Z5^3": "ff9483a241faca1b", "fpexact.rref": "85567eb5f3dac498",
+            "fpexact.rank/dense-1024-p2": "f78b716c48df3a8f", "fpexact.rref/dense-1024-p2": "b7d32529e4951c29",
+            "fpexact.matmul/dense-1024-p2": "44fb5d6711690ee2", "fpexact.matmul/dense-1024-p7": "758c96d1be2d6ddf",
+            "fpexact.smith_normal_form": "bbae32f915eee2b1",
             "covers.build_cover": "6049a0d1d60c853e",
             "presentations.parse_presentation": "4ab8021ae9fa17da",
             "presentations.parse_presentation/spaced": "4ab8021ae9fa17da",
             "presentations.reidemeister_schreier": "fc58dc1f5b7db128",
             "presentations.complex_summary": "9361aa30680a8d4a",
-            "groupring.filtration_profile": "522ca6961637b157"}
+            "groupring.filtration_profile": "522ca6961637b157",
+            "groupring.FiltrationProfile.contains": "ada4c5c89699d7f3",
+            "groupring.FiltrationProfile.contains/p2": "c7496f07e7bf8ab0"}
 
 
 def commutator_relator(rng: random.Random, n: int, length: int) -> FreeWord:
@@ -204,6 +222,34 @@ def dense_matrix(p: int, side: int, dependent: int) -> fpexact.FpMatrix:
     return fpexact.FpMatrix(side, side, data.ravel(), p)
 
 
+def membership_questions(p: int, group: OrderedGroup) -> list[tuple[int, groupring.GroupRingElement]]:
+    """(k, x) and (k + 1, x) for x the product of k seeded factors
+    (delta_g - delta_e), which lies in the k-th power, for k < 8."""
+    rng = random.Random(f"perf:contains-{p}")
+    questions = []
+    for k in range(8):
+        x = delta_product(group, p, [rng.randrange(group.size) for _ in range(k)])
+        questions += [(k, x), (k + 1, x)]
+    return questions
+
+
+def ask(p: int, group: OrderedGroup, questions: list) -> tuple[bool, ...]:
+    """The answers of a new profile, whose dimensions the cache holds."""
+    profile = groupring.filtration_profile(p, group)
+    return tuple(profile.contains(k, x) for k, x in questions)
+
+
+def matrix_digest(m: fpexact.FpMatrix) -> dict:
+    return {"shape": [m.rows, m.cols], "p": m.p,
+            "sha256": hashlib.sha256(m.array.astype(np.int64).tobytes()).hexdigest()[:16]}
+
+
+def snf_answer(snf: fpexact.SnfResult) -> dict:
+    ops = json.dumps([[[op.kind, op.i, op.j, op.q] for op in side] for side in (snf.left_ops, snf.right_ops)])
+    return {"rank": snf.rank, "diagonal": list(snf.diagonal), "ops": [len(snf.left_ops), len(snf.right_ops)],
+            "ops_sha256": hashlib.sha256(ops.encode()).hexdigest()[:16]}
+
+
 def rref_answer(result: tuple[fpexact.FpMatrix, tuple[int, ...]]) -> dict:
     reduced, pivots = result
     return {"shape": [reduced.rows, reduced.cols], "p": reduced.p, "rank": len(pivots),
@@ -234,12 +280,19 @@ def kernels():
     onto = Homomorphism(words, z3, [z3.ea_index[t] for t in ((1, 0), (0, 1), (1, 1))])
     kernel = reidemeister_schreier(words, onto)
     big = s3_times_ea()
-    dense = dense_matrix(7, 1024, 24)
+    dense, dense2 = dense_matrix(7, 1024, 24), dense_matrix(2, 1024, 24)
+    exponents = exponent_sum_matrix(kernel, 3)
+    asked = {p: membership_questions(p, big) for p in (3, 2)}
     return [
         rank_row("fpexact.rank", ranked_blocks(pres, hom, 7)[0], by_core=False),
         rank_row("fpexact.rank/genus3-onto-Z5^3", genus3, by_core=True),
         rank_row("fpexact.rank/T3-onto-Z5^3", t3, by_core=True),
         ("fpexact.rref", lambda: fpexact.rref(dense), rref_answer),
+        rank_row("fpexact.rank/dense-1024-p2", dense2, by_core=False),
+        ("fpexact.rref/dense-1024-p2", lambda: fpexact.rref(dense2), rref_answer),
+        ("fpexact.matmul/dense-1024-p2", lambda: dense2 @ dense2, matrix_digest),
+        ("fpexact.matmul/dense-1024-p7", lambda: dense @ dense, matrix_digest),
+        ("fpexact.smith_normal_form", lambda: fpexact.smith_normal_form(exponents), snf_answer),
         ("covers.build_cover", lambda: build_cover(pres, hom, 7),
          lambda c: {"b0": c.b0, "b1": c.b1, "b2": c.b2}),
         ("presentations.parse_presentation", lambda: parse_presentation(text), words_digest),
@@ -249,6 +302,10 @@ def kernels():
          lambda s: {"b1": s.b1, "b2": s.b2, "rank": s.rank}),
         ("groupring.filtration_profile", lambda: fresh_profile(3, big),
          lambda f: {"order": f.group.size, "p": f.p, "delta_dims": list(f.delta_dims)}),
+        ("groupring.FiltrationProfile.contains", lambda: ask(3, big, asked[3]),
+         lambda a: {"order": big.size, "p": 3, "answers": list(a)}),
+        ("groupring.FiltrationProfile.contains/p2", lambda: ask(2, big, asked[2]),
+         lambda a: {"order": big.size, "p": 2, "answers": list(a)}),
     ]
 
 

@@ -27,11 +27,11 @@ consecutive powers) comes from one identity, for every group H:
   the preimages D~_k of the dimension subgroups of H/N, each the walk's
   mask over N's generators, its commutators and p-th powers.
 
-Membership in a power reads per-level echelon bases found by elimination
-(``_level_bases``, which the tests and ``selfcheck`` also use as the
-profile's independent oracle).  They are built on a profile's first
-``FiltrationProfile.contains`` call and kept on that profile alone, so they
-are freed with it.
+Membership in a power reads the same series (Jennings, Trans. AMS 50, 1941).
+With g_1, ..., g_n in H, the weight-w ones a basis of D~_w / D~_(w+1), the
+products of the (g_i - 1)^(b_i) with sum b_i w_i >= k are a basis of
+I_(H/N)^k, and the coset g_n^(e_n) ... g_1^(e_1) N has the coordinates
+prod_i C(e_i, b_i) mod p: ``FiltrationProfile.contains`` eliminates nothing.
 
 ``make_elementary_abelian`` and ``make_cyclic`` build their tables with array
 operations alone, and their groups' names and tuples on first read.
@@ -42,11 +42,10 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import fpexact
 from .fpexact import check_entry_count, check_power_count, check_prime
 
 __all__ = [
@@ -469,8 +468,8 @@ class FiltrationProfile:
     powers are nested, so equal dimensions there mean equal subspaces and
     the filtration is constant afterwards.  ``nilpotent`` records whether
     the dimensions reach 0.  The module docstring says how they are
-    computed; ``contains`` reads echelon bases that its first call builds and
-    the profile keeps (``_bases``), so they are freed with it.
+    computed; ``contains`` reads the Jennings frame that its first call
+    builds and the profile keeps (``_frame``), so it is freed with it.
     """
 
     p: int
@@ -481,58 +480,44 @@ class FiltrationProfile:
     stabilization_k: int
 
     def contains(self, k: int, v: GroupRingElement) -> bool:
-        """Membership of ``v`` in the k-th power, by pivot-order reduction against the echelon basis."""
+        """Membership of ``v`` in the k-th power, read in the Jennings basis of F_p[H/N]."""
         if k < 0:
             raise ValueError("k must be non-negative")
         if v.group.table_hash != self.group.table_hash or v.p != self.p:
             raise ValueError("element does not live in this profile's group ring")
-        basis, pivots = self._bases[min(k, len(self._bases) - 1)]
-        vec = v.coeffs.copy()
-        for row, c in zip(basis, pivots):
-            f = int(vec[c])
-            if f:
-                vec = (vec - f * row) % self.p
-        return not vec.any()
+        labels, weights, pascal = self._frame
+        # float64 coset sums are exact: each is below |H| p < 2^53
+        coords = np.bincount(labels, v.coeffs, weights.size).reshape(weights.shape).astype(np.int64) % self.p
+        for _ in range(weights.ndim):  # each pass maps one axis and moves it last; entries stay below p^3 < 2^63
+            coords = np.tensordot(coords, pascal, axes=(0, 0)) % self.p
+        return not coords[weights < k].any()
 
     @cached_property
-    def _bases(self) -> tuple[tuple[np.ndarray, tuple[int, ...]], ...]:
-        return tuple(_level_bases(self.p, self.group))
+    def _frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Coset labels sum e_i p^(i-1), coordinate weights as a (p,) * n array, the Pascal matrix mod p."""
+        p, group = self.p, self.group
+        series = _jennings_series(p, group)
+        depth = np.sum(series, axis=0)  # an element's weight; walking deepest first closes D~_(w+1) before weight w
+        basis = [g for g in group._walk(np.argsort(-depth, kind="stable").tolist())[1] if depth[g] < len(series)]
+        labels = np.where(series[-1], 0, -1)  # -1 off the subgroup labelled so far
+        for i, g in enumerate(basis):
+            members = layer = np.flatnonzero(labels >= 0)
+            for e in range(1, p):
+                layer = group.op(g, layer)
+                labels[layer] = labels[members] + e * p**i
+        n = len(basis)
+        weights = (np.arange(p**n)[:, None] // p ** np.arange(n) % p) @ depth[basis]
+        pascal = np.tri(p if n else 0, dtype=np.int64)  # column 0 is C(e, 0); p <= |H/N| if n, up to MAX_PRIME if not
+        for e in range(1, len(pascal)):
+            pascal[e, 1:] = (pascal[e - 1, 1:] + pascal[e - 1, :-1]) % p
+        return labels, weights.reshape((p,) * n), pascal
 
 
 _PROFILE_CACHE: dict[tuple[int, str], tuple[int, ...]] = {}  # dims per (p, table)
 
 
-def _level_bases(p: int, group: OrderedGroup) -> Iterator[tuple[np.ndarray, tuple[int, ...]]]:
-    """Echelon basis and pivots of each power of the augmentation ideal, by
-    elimination, yielded as each level is built, up to the first zero or
-    repeated dimension (dimensions strictly decrease until then, so there
-    are at most |H| + 1 levels).  Each basis owns its rows."""
-    n = group.size
-    gens, idx = group.generating_set(), np.arange(n)
-    current = np.eye(n, dtype=np.int64)
-    yield current, tuple(range(n))
-    while True:
-        # span of the next power: b * (delta_s - delta_e) over basis rows b
-        # and group generators s (products over a generating set span the
-        # same subspace as products over the whole group)
-        stack = np.empty((len(gens), len(current), n), dtype=np.int64)
-        for i, s in enumerate(gens):
-            stack[i][:, group.op(idx, s)] = current
-        stack -= current
-        stack %= p
-        stack = stack.reshape(-1, n)
-        pivots = fpexact._echelon(stack, p)
-        basis = stack[: len(pivots)].copy()
-        del stack  # with the indexed loop above, nothing holds this stack while the next is built
-        yield basis, tuple(pivots)
-        if len(basis) in (0, len(current)):
-            return
-        current = basis
-
-
-def _jennings_dims(p: int, group: OrderedGroup) -> list[int]:
-    """The dimensions ``_level_bases`` finds, from the Jennings series of
-    H/N with N = O^p(H) (see the module docstring), for every group."""
+def _jennings_series(p: int, group: OrderedGroup) -> list[np.ndarray]:
+    """Masks of D~_1 = H, D~_2, ..., D~_L = N = O^p(H), as in the module docstring."""
     op, inv, e, n = group.op, group.inverse, group.identity_index, group.size
     p_part = 1
     while n % (p_part * p) == 0:
@@ -553,6 +538,12 @@ def _jennings_dims(p: int, group: OrderedGroup) -> list[int]:
             commutators = op(op(inv(a), inv(gens)), op(a, gens))
             step[key] = group._walk(n_gens + commutators.ravel().tolist() + pth[lower].tolist())[0]
         series.append(step[key])
+    return series
+
+
+def _jennings_dims(p: int, group: OrderedGroup) -> list[int]:
+    """The dimensions of the powers of I, from the Jennings series (see the module docstring)."""
+    series = _jennings_series(p, group)
     lam = np.ones(1, dtype=np.int64)
     for k, (big, small) in enumerate(zip(series, series[1:]), start=1):
         ratio = int(big.sum()) // int(small.sum())
@@ -563,8 +554,8 @@ def _jennings_dims(p: int, group: OrderedGroup) -> list[int]:
                 grown[i * k : i * k + len(lam)] += lam
             lam = grown
     dims_p = [int(x) for x in np.cumsum(lam[::-1])[::-1]] + [0]  # of F_p[H/N]
-    rest = n - n // order_n  # |H| - |H/N|
-    return dims_p if rest == 0 else [n] + [d + rest for d in dims_p[1:]] + [rest]
+    rest = group.size - group.size // int(series[-1].sum())  # |H| - |H/N|
+    return dims_p if rest == 0 else [group.size] + [d + rest for d in dims_p[1:]] + [rest]
 
 
 def _profile(p: int, group: OrderedGroup, dims: Sequence[int]) -> FiltrationProfile:

@@ -243,7 +243,6 @@ class Presentation:
 _TOKEN_RE = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*|[+-]?[0-9]+|[<>|,^])")
 _STRAY_RE = re.compile(r"[^\sA-Za-z_0-9<>|,^+-]|[+-](?![0-9])")
 _EXPONENT_RE = re.compile(r"[+-]?[0-9]{1,18}")  # of a term on the distinct-term path
-_GLUE_RE = re.compile(r"\s*\^\s*")
 _INT_START = frozenset("+-0123456789")
 _EOF = "end of input"  # the last token; it is what an error says it found
 
@@ -273,7 +272,8 @@ def _parse_terms(text: str) -> Presentation | None:
         name, caret, exponent = term.partition("^")
         g = index.get(name)
         if g is None or caret and not _EXPONENT_RE.fullmatch(exponent):
-            glued = _GLUE_RE.sub("^", body)  # '^' glued to its neighbours where whitespace meets it
+            first, *rest = body.split("^")  # '^' glued to its neighbours where whitespace meets it
+            glued = "^".join([first.rstrip(), *(t.strip() for t in rest[:-1]), rest[-1].lstrip()]) if rest else body
             return None if glued == body else _parse_terms(f"<{head}|{glued}>")
         k = int(exponent) if caret else 1
         terms[term] = (2 * g + (k < 0), abs(k))

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hcc import cli, corpus, fpexact, groupring
+from hcc import cli, corpus, fpexact, groupring, selfcheck
 from hcc.fpexact import CapExceededError
 from hcc.groupring import (
     GroupRingElement,
@@ -358,15 +358,40 @@ class TestFiltration:
         assert prof.contains(2, x)
         assert not prof.contains(3, x)
         assert prof.contains(0, GroupRingElement.delta(g, 2, 0))
+        # past stabilization (k = 3 here) only 0 is left
+        assert [prof.contains(k, x) for k in (3, 4, 50)] == [False] * 3
+        assert all(prof.contains(k, GroupRingElement.zero(g, 2)) for k in (3, 4, 50))
+        # S3 at p = 2: the powers stop at the kernel of F_2[S3] -> F_2[Z2], which holds t - 1 for t of order 3
+        s3 = PROFILE_GROUPS["S3"]
+        prof = filtration_profile(2, s3)
+        orders = [next(j for j in range(1, 7) if s3.power(j)[h] == s3.identity_index) for h in range(6)]
+        t, u = orders.index(3), orders.index(2)
+        assert prof.stabilization_k == 2
+        for k in (1, 2, 3, 50):
+            assert prof.contains(k, delta_product(s3, 2, [t]))
+            assert prof.contains(k, delta_product(s3, 2, [u])) == (k == 1)
+        # p does not divide |H|: every power from the first on is the augmentation ideal
+        z5 = make_cyclic(5)
+        prof = filtration_profile(2, z5)
+        for c in product(range(2), repeat=5):
+            v = GroupRingElement(z5, 2, c)
+            assert prof.contains(0, v)
+            assert [prof.contains(k, v) for k in (1, 2, 7)] == [is_balanced(v)] * 3
 
     def test_negative_k_is_refused(self):
-        # k = -1 must not read the last level basis, which holds only 0 here
+        # k = -1 is refused, not read as a power that every element lies in
         g = make_cyclic(4)
         prof = filtration_profile(2, g)
         e = GroupRingElement.delta(g, 2, 0)
         assert prof.contains(0, e)
         with pytest.raises(ValueError, match="k must be non-negative"):
             prof.contains(-1, e)
+        # an element of another group ring is refused after k, whether the group or p differs
+        for foreign in (GroupRingElement.delta(make_cyclic(5), 2, 0), GroupRingElement.delta(g, 3, 0)):
+            with pytest.raises(ValueError, match="k must be non-negative"):
+                prof.contains(-1, foreign)
+            with pytest.raises(ValueError, match="does not live in this profile's group ring"):
+                prof.contains(0, foreign)
 
     def test_cache_holds_dims_once_per_table(self, monkeypatch):
         # one Jennings run per (p, table) across distinct group objects; each
@@ -564,29 +589,47 @@ def relabelled(group, rng):
     return OrderedGroup(perm[group.mult[inv][:, inv]])
 
 
-def assert_eliminated_profile(prof, p, group):
+def assert_eliminated_profile(prof, p, group, rng=None):
     """Every field of ``prof`` equals that of the linear-algebra path, which
-    takes one echelon basis per level; groups compare by their table."""
-    expected = groupring._profile(p, group, [len(pivots) for _, pivots in groupring._level_bases(p, group)])
+    takes one echelon basis per level; groups compare by their table.  With
+    ``rng``, ``prof.contains`` also answers as those bases do at every level
+    and one past the last, on members of each level and perturbed ones;
+    returns the answers."""
+    levels = list(selfcheck._level_bases(p, group))
+    expected = groupring._profile(p, group, [len(pivots) for _, pivots in levels])
     for f in dataclasses.fields(expected):
         got, want = getattr(prof, f.name), getattr(expected, f.name)
         if f.name == "group":
             got, want = got.table_hash, want.table_hash
         assert got == want, (f.name, p, group.size)
+    if rng is None:
+        return []
+    answers, n = [], group.size
+    for k in range(len(levels) + 1):
+        basis, pivots = levels[min(k, len(levels) - 1)]
+        members = rng.integers(0, p, size=(2, len(pivots))) @ basis % p
+        asked = np.vstack([members, (members + rng.integers(0, p, size=(2, n)) * (rng.random((2, n)) < 0.2)) % p])
+        rest = asked.copy()  # each row reduced in pivot order against the echelon basis
+        for row, c in zip(basis, pivots):
+            rest = (rest - rest[:, c : c + 1] * row) % p
+        for v, member in zip(asked, (~rest.any(axis=1)).tolist()):
+            answers.append(member)
+            assert prof.contains(k, GroupRingElement(group, p, v)) == member, (p, group.size, k, v)
+    return answers
 
 
 @pytest.fixture()
 def elimination_calls(monkeypatch):
     """Empty profile caches and a count of the groups that went through elimination."""
     calls = []
-    level_bases = groupring._level_bases
+    level_bases = selfcheck._level_bases
 
     def counted(p, group):
         calls.append((p, group.size))
         return level_bases(p, group)
 
     monkeypatch.setattr(groupring, "_PROFILE_CACHE", {})
-    monkeypatch.setattr(groupring, "_level_bases", counted)
+    monkeypatch.setattr(selfcheck, "_level_bases", counted)
     return calls
 
 
@@ -612,13 +655,14 @@ def random_product(rng):
 
 
 def test_jennings_profile_matches_elimination_on_random_products(elimination_calls):
-    rng = np.random.default_rng(20261018)
+    rng, questions, answers = np.random.default_rng(20261018), np.random.default_rng(40), []
     for _ in range(40):
         p, group = random_product(rng)
         prof = filtration_profile(p, group)
         assert not elimination_calls, (p, group.size)
-        assert_eliminated_profile(prof, p, group)
+        answers += assert_eliminated_profile(prof, p, group, questions)
         elimination_calls.clear()
+    assert True in answers and False in answers
 
 
 def workload_groups():
@@ -682,17 +726,19 @@ def test_quotient_profiles_match_elimination_on_relabelled_groups(elimination_ca
     assert orders == [("S3", 6), ("A4", 12), ("S4", 24), ("A5", 60), ("D4", 8), ("D5", 10), ("D6", 12),
                       ("F20", 20), ("AGL(1,7)", 42), ("S3xZ4", 24), ("A4xZ3", 36), ("S3xS3", 36),
                       ("D6xZ2", 24), ("S4xZ2", 48), ("Z12", 12), ("Z18", 18)]
+    questions, answers = np.random.default_rng(64), []
     for name, group in groups.items():
         group = relabelled(group, rng)
         for p in (2, 3, 5, 7):
             prof = filtration_profile(p, group)
             assert not elimination_calls, (name, p)
-            assert_eliminated_profile(prof, p, group)
+            answers += assert_eliminated_profile(prof, p, group, questions)
             elimination_calls.clear()
+    assert True in answers and False in answers
 
 
 def test_contains_bases_are_freed_with_the_profile():
-    # contains builds the bases of S3 x (Z2)^3 at p = 3 by elimination; only the profile keeps them
+    # contains builds the Jennings frame of S3 x (Z2)^3 at p = 3; only the profile keeps it
     tracemalloc.start()
     try:
         group = make_product(PROFILE_GROUPS["S3"], make_elementary_abelian(2, 3))
@@ -707,20 +753,29 @@ def test_contains_bases_are_freed_with_the_profile():
     assert held < 16 << 10, held
 
 
-def test_contains_builds_the_bases_once_per_profile(elimination_calls):
+def test_contains_builds_the_bases_once_per_profile(elimination_calls, monkeypatch):
+    # the Jennings frame is built from one more series walk, on a profile's first contains; nothing eliminates
+    def refuse(a, p):
+        raise AssertionError("contains eliminated")
+
+    walks, jennings_series = [], groupring._jennings_series
+    monkeypatch.setattr(groupring, "_jennings_series", lambda p, g: walks.append(p) or jennings_series(p, g))
+    monkeypatch.setattr(fpexact, "_echelon", refuse)
+    assert not hasattr(groupring, "fpexact") and not hasattr(groupring, "_level_bases")
     s3, ea = PROFILE_GROUPS["S3"], make_elementary_abelian(2, 3)
-    for p, group in ((3, s3), (2, ea)):
+    for p, group in ((3, s3), (2, ea), (2, make_product(s3, make_cyclic(4)))):
         prof = filtration_profile(p, group)
-        assert elimination_calls == []
+        assert walks == [p]  # the dimensions
         x = GroupRingElement.delta(group, p, 1) - GroupRingElement.delta(group, p, 0)
         assert prof.contains(0, x) and prof.contains(1, x)
-        assert elimination_calls == [(p, group.size)]
-        elimination_calls.clear()
+        assert walks == [p, p] and elimination_calls == []
+        assert filtration_profile(p, group).contains(1, x) and walks == [p, p, p]  # a new profile, a new frame
+        walks.clear()
 
 
 def test_level_bases_own_their_rows():
     for p, group in ((3, PROFILE_GROUPS["S3"]), (2, PROFILE_GROUPS["A4"]), (2, make_elementary_abelian(2, 3))):
-        levels = list(groupring._level_bases(p, group))
+        levels = list(selfcheck._level_bases(p, group))
         assert len(levels) > 2
         for basis, pivots in levels:
             assert basis.base is None and basis.shape == (len(pivots), group.size)

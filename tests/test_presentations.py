@@ -195,7 +195,7 @@ class TestParser:
             assert parse_presentation(pres.to_text()) == pres
             assert parse_presentation(expanded) == pres
 
-    def test_distinct_term_path_agrees_with_token_loop(self):
+    def test_distinct_term_path_agrees_with_token_loop(self, monkeypatch):
         # str.split, which the distinct-term path splits with, and the regex \s of the
         # token loop must agree on every character the mutations insert
         for ch in "".join(MUTATION_CHARS):
@@ -205,6 +205,10 @@ class TestParser:
         texts = [commutator_text(rng, n, length) for n, length in ((3, 2000), (2, 900), (3, 300), (4, 60), (2, 12))]
         layout = np.random.default_rng(32)
         texts += [random_layout(layout)[0] for _ in range(40)]
+        # a text whose term fails is parsed once more with '^' glued to its neighbours, as this regex glues it
+        glue, calls, parse_terms = re.compile(r"\s*\^\s*"), [], presentations._parse_terms
+        monkeypatch.setattr(presentations, "_parse_terms", lambda text: calls.append(text) or parse_terms(text))
+        glued = 0
         old = fpexact.entry_cap()
         try:
             for i, text in enumerate(texts):
@@ -212,9 +216,14 @@ class TestParser:
                 terms = re.findall(r"[A-Za-z_][A-Za-z_0-9]*(?:\s*\^\s*([+-]?[0-9]+))?", text.partition("|")[2])
                 fpexact.set_entry_cap(max(sum(abs(int(k or 1)) for k in terms), 1) if i % 2 else old)
                 for t in [text] + [mutate(rng, text) for _ in range(60)]:
+                    calls.clear()
                     assert outcome(parse_presentation, t) == outcome(presentations._parse_tokens, t), repr(t)
+                    head, _, body = t.strip()[1:-1].partition("|")
+                    assert calls[1:] in ([], [f"<{head}|{glue.sub('^', body)}>"]), repr(t)
+                    glued += len(calls) - 1
         finally:
             fpexact.set_entry_cap(old)
+        assert glued > 100, glued
 
     def test_valid_texts_skip_token_loop(self, monkeypatch):
         texts = [
