@@ -42,7 +42,10 @@ as text, mapped onto (Z3)^2.  Each row is named after its layer in
 * ``groupring.FiltrationProfile.contains`` and ``.../p2`` -- sixteen
   membership questions in F_3 and F_2[S3 x (Z2)^8], asked of a new profile
   on every call (its dimensions cached), so each call builds what
-  membership reads: H/N is trivial at p = 3 and (Z2)^9 at p = 2.
+  membership reads: H/N is trivial at p = 3 and (Z2)^9 at p = 2;
+* ``omega.omega_by_convolution`` -- the coefficients of
+  (1 + x + x^2)^2000, computed afresh on every call (the table cache is
+  emptied first).
 
 A row records the median and interquartile range of ``--reps`` timed
 calls after one warm-up call, the tracemalloc peak of one more call, and
@@ -52,7 +55,7 @@ mid-size blocks the shape of that array, the core; the rref's
 pivots, as its rank and the columns without one, and a digest of the
 reduced array; a digest of the product; the normal form's diagonal and
 a digest of its operations; the cover's Betti numbers; the profile's
-dimensions; the membership answers).  A
+dimensions; the membership answers; a digest of the coefficients).  A
 run records the machine, the versions, the git commit (``git describe
 --dirty``, so a run on uncommitted changes reads ``<commit>-dirty``) and
 a digest of ``src/hcc``, and replaces the run of the same ``--label`` in
@@ -62,7 +65,8 @@ a digest of ``src/hcc``, and replaces the run of the same ``--label`` in
     python3 perf/kernels.py --label parent --reps 15   # record a run
     python3 perf/kernels.py --check --reps 1           # answers only; writes nothing
 
-``--check`` exits 1 when an answer's digest differs from ``EXPECTED``.
+``--check`` makes one call per row, times nothing and exits 1 when an
+answer's digest differs from ``EXPECTED``.
 """
 
 from __future__ import annotations
@@ -85,7 +89,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import numpy as np  # noqa: E402
 
-from hcc import fpexact, groupring  # noqa: E402
+from hcc import fpexact, groupring, omega  # noqa: E402
 from hcc.covers import Homomorphism, build_cover  # noqa: E402
 from hcc.groupring import OrderedGroup, delta_product, make_elementary_abelian, make_product  # noqa: E402
 from hcc.presentations import (  # noqa: E402
@@ -110,7 +114,8 @@ EXPECTED = {"fpexact.rank": "d6a6659f9aa96a60", "fpexact.rank/genus3-onto-Z5^3":
             "presentations.complex_summary": "9361aa30680a8d4a",
             "groupring.filtration_profile": "522ca6961637b157",
             "groupring.FiltrationProfile.contains": "ada4c5c89699d7f3",
-            "groupring.FiltrationProfile.contains/p2": "c7496f07e7bf8ab0"}
+            "groupring.FiltrationProfile.contains/p2": "c7496f07e7bf8ab0",
+            "omega.omega_by_convolution": "8b34ea13b4dc8e94"}
 
 
 def commutator_relator(rng: random.Random, n: int, length: int) -> FreeWord:
@@ -211,6 +216,12 @@ def fresh_profile(p: int, group: OrderedGroup) -> groupring.FiltrationProfile:
     return groupring.filtration_profile(p, group)
 
 
+def fresh_table(p: int, r: int) -> omega.OmegaTable:
+    """The coefficient table computed afresh, not read from the table cache."""
+    omega.omega_by_convolution.cache_clear()
+    return omega.omega_by_convolution(p, r)
+
+
 def dense_matrix(p: int, side: int, dependent: int) -> fpexact.FpMatrix:
     """A seeded dense side x side matrix over F_p whose ``dependent`` columns,
     drawn at random, are random combinations of the columns left of them, so
@@ -264,6 +275,12 @@ def words_digest(pres: Presentation) -> dict:
             "letters": sum(len(w) for w in pres.relators), "words_sha256": h.hexdigest()[:16]}
 
 
+def table_digest(table: omega.OmegaTable) -> dict:
+    coeffs = ",".join(map(str, table.coeffs))
+    return {"p": table.p, "r": table.r, "degree": table.degree,
+            "coeffs_sha256": hashlib.sha256(coeffs.encode()).hexdigest()[:16]}
+
+
 def digest(answer: dict) -> str:
     return hashlib.sha256(json.dumps(answer, sort_keys=True).encode()).hexdigest()[:16]
 
@@ -306,11 +323,16 @@ def kernels():
          lambda a: {"order": big.size, "p": 3, "answers": list(a)}),
         ("groupring.FiltrationProfile.contains/p2", lambda: ask(2, big, asked[2]),
          lambda a: {"order": big.size, "p": 2, "answers": list(a)}),
+        ("omega.omega_by_convolution", lambda: fresh_table(3, 2000), table_digest),
     ]
 
 
-def measure(call, answer, reps: int) -> dict:
+def measure(call, answer, reps: int, check: bool) -> dict:
+    """The row's times, peak and answer; under ``check`` one call and its answer alone."""
     result = call()
+    if check:
+        out = answer(result)
+        return {"answer": out, "digest": digest(out)}
     times = []
     for _ in range(reps):
         start = time.perf_counter()
@@ -352,9 +374,10 @@ def main(argv=None) -> int:
         ap.error("--reps must be at least 1")
     rows, bad = {}, []
     for name, call, answer in kernels():
-        row = rows[name] = measure(call, answer, args.reps)
-        print(f"{name:<38} median {row['median_ms']:9.3f} ms  IQR {row['iqr_ms']:8.3f} ms  "
-              f"peak {row['tracemalloc_peak_mib']:7.3f} MiB  digest {row['digest']}  {row['answer']}")
+        row = rows[name] = measure(call, answer, args.reps, args.check)
+        timing = "" if args.check else (f"median {row['median_ms']:9.3f} ms  IQR {row['iqr_ms']:8.3f} ms  "
+                                        f"peak {row['tracemalloc_peak_mib']:7.3f} MiB  ")
+        print(f"{name:<38} {timing}digest {row['digest']}  {row['answer']}")
         if row["digest"] != EXPECTED[name]:
             bad.append(f"{name}: digest {row['digest']}, expected {EXPECTED[name]}")
     for line in bad:

@@ -127,10 +127,7 @@ def bound_elementary_abelian(b1_g: int, d: int, p: int, r: int) -> BoundReport:
     (1 + x + ... + x^{p-1})^r, so no group-ring computation is needed;
     the result agrees with ``bound_general`` on the same group.
     """
-    check_prime(p)
-    if r < 1:
-        raise ValueError("r must be at least 1")
-    table = omega_by_convolution(p, r)
+    table = omega_by_convolution(p, r)  # refuses a non-prime p, r < 1 and a degree over the cap
     return _bound_report(p, f"(Z{p})^{r}", p**r, b1_g, d, table.coeffs)
 
 

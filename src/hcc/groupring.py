@@ -22,10 +22,11 @@ consecutive powers) comes from one identity, for every group H:
   dim I_H^k = |H| - |H/N| + dim I_{H/N}^k for k >= 1.
 - H/N is a p-group, so Jennings' theorem gives its jumps as the
   coefficients of prod_k (1 + t^k + ... + t^{k(p-1)})^{d_k}, with
-  d_k = log_p |D~_k / D~_{k+1}|.  Lazard's recursion, run in H with N in
-  every seed, D~_1 = H, D~_k = [D~_{k-1}, H] D~_{ceil(k/p)}^p N, gives
-  the preimages D~_k of the dimension subgroups of H/N, each the walk's
-  mask over N's generators, its commutators and p-th powers.
+  d_k = log_p |D~_k / D~_{k+1}|: one bincount of ``_weight_grid``, weight
+  k taken d_k times.  Lazard's recursion, run in H with N in every seed,
+  D~_1 = H, D~_k = [D~_{k-1}, H] D~_{ceil(k/p)}^p N, gives the preimages
+  D~_k of the dimension subgroups of H/N, each the walk's mask over N's
+  generators, its commutators and p-th powers.
 
 Membership in a power reads the same series (Jennings, Trans. AMS 50, 1941).
 With g_1, ..., g_n in H, the weight-w ones a basis of D~_w / D~_(w+1), the
@@ -505,12 +506,11 @@ class FiltrationProfile:
             for e in range(1, p):
                 layer = group.op(g, layer)
                 labels[layer] = labels[members] + e * p**i
-        n = len(basis)
-        weights = (np.arange(p**n)[:, None] // p ** np.arange(n) % p) @ depth[basis]
-        pascal = np.tri(p if n else 0, dtype=np.int64)  # column 0 is C(e, 0); p <= |H/N| if n, up to MAX_PRIME if not
+        weights = _weight_grid(p, depth[basis]).reshape((p,) * len(basis))
+        pascal = np.tri(p if basis else 0, dtype=np.int64)  # column 0 is C(e, 0); p <= |H/N| if N < H, up to MAX_PRIME if not
         for e in range(1, len(pascal)):
             pascal[e, 1:] = (pascal[e - 1, 1:] + pascal[e - 1, :-1]) % p
-        return labels, weights.reshape((p,) * n), pascal
+        return labels, weights, pascal
 
 
 _PROFILE_CACHE: dict[tuple[int, str], tuple[int, ...]] = {}  # dims per (p, table)
@@ -541,18 +541,21 @@ def _jennings_series(p: int, group: OrderedGroup) -> list[np.ndarray]:
     return series
 
 
+def _weight_grid(p: int, weights: np.ndarray) -> np.ndarray:
+    """sum_i e_i weights[i] for every exponent vector e in [0, p)^n, at index sum_i e_i p^i."""
+    return (np.arange(p ** len(weights))[:, None] // p ** np.arange(len(weights)) % p) @ weights
+
+
 def _jennings_dims(p: int, group: OrderedGroup) -> list[int]:
     """The dimensions of the powers of I, from the Jennings series (see the module docstring)."""
     series = _jennings_series(p, group)
-    lam = np.ones(1, dtype=np.int64)
+    weights = []
     for k, (big, small) in enumerate(zip(series, series[1:]), start=1):
         ratio = int(big.sum()) // int(small.sum())
-        while ratio > 1:  # one factor per F_p-dimension of D~_k / D~_{k+1}
+        while ratio > 1:  # weight k once per F_p-dimension of D~_k / D~_{k+1}
             ratio //= p
-            grown = np.zeros(len(lam) + k * (p - 1), dtype=np.int64)
-            for i in range(p):
-                grown[i * k : i * k + len(lam)] += lam
-            lam = grown
+            weights.append(k)
+    lam = np.bincount(_weight_grid(p, np.array(weights, dtype=np.int64)))  # the jumps of F_p[H/N]
     dims_p = [int(x) for x in np.cumsum(lam[::-1])[::-1]] + [0]  # of F_p[H/N]
     rest = group.size - group.size // int(series[-1].sum())  # |H| - |H/N|
     return dims_p if rest == 0 else [group.size] + [d + rest for d in dims_p[1:]] + [rest]

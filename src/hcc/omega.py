@@ -3,8 +3,8 @@
 The k-th coefficient counts r-tuples of integers in [0, p-1] summing to
 k; by Jennings' theorem it also equals the k-th dimension jump of the
 augmentation-ideal filtration of F_p[(Z_p)^r].  Three independent
-formulas are implemented (iterated convolution, an alternating binomial
-sum, and a partition sum valid for 1 <= m <= r), plus the signed
+formulas are implemented (the D-finite recurrence of S^r, an alternating
+binomial sum, and a partition sum valid for 1 <= m <= r), plus the signed
 tail-comparison values and the small family of binomial inequalities
 used to calibrate them.  Everything is arbitrary-precision.
 """
@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import accumulate
 
 from .fpexact import CapExceededError, check_prime
 
@@ -56,7 +57,11 @@ class OmegaTable:
         """(r-1) * coeff(k) minus the tail sum of coefficients above k."""
         if not 0 <= k <= self.degree:
             raise ValueError(f"k must be in [0, {self.degree}], got {k}")
-        return (self.r - 1) * self.coeffs[k] - sum(self.coeffs[k + 1 :])
+        return (self.r - 1) * self.coeffs[k] - self._tails[k + 1]
+
+    @cached_property
+    def _tails(self) -> list[int]:  # _tails[k] = sum(coeffs[k:]), one suffix pass
+        return list(accumulate(reversed(self.coeffs), initial=0))[::-1]
 
 
 def _check_degree(p: int, r: int) -> None:
@@ -66,24 +71,18 @@ def _check_degree(p: int, r: int) -> None:
 
 @lru_cache(maxsize=256)
 def omega_by_convolution(p: int, r: int) -> OmegaTable:
-    """Exact coefficients by repeated multiplication with 1 + x + ... + x^{p-1}."""
+    """Exact coefficients c_k of f = S^r, S = 1 + x + ... + x^{p-1}, by the D-finite recurrence
+    S f' = r S' f (Stanley, Europ. J. Combin. 1, 1980): at x^k, (k+1) c_{k+1} = (r+1) V_k - (k+1) W_k,
+    W_k and V_k the sums of c_{k+1-i} and i c_{k+1-i} over 0 < i < p, each slid in O(1) per step."""
     check_prime(p)
     if r < 1:
         raise ValueError("r must be at least 1")
     _check_degree(p, r)
-    coeffs = [1]
-    for _ in range(r):
-        # multiply by the length-p window of ones via a running sum
-        out = []
-        window = 0
-        for m in range(len(coeffs) + p - 1):
-            if m < len(coeffs):
-                window += coeffs[m]
-            if m - p >= 0:
-                window -= coeffs[m - p]
-            out.append(window)
-        coeffs = out
-    return OmegaTable(p=p, r=r, coeffs=tuple(coeffs))
+    c, w, v = [0] * (p - 1) + [1], 0, 0  # c_j at index j + p - 1
+    for k in range(r * (p - 1)):  # c[-1] is c_k and c[k] is c_(k+1-p)
+        w, v = w + c[-1] - c[k], v + w + c[-1] - p * c[k]
+        c.append(((r + 1) * v - (k + 1) * w) // (k + 1))
+    return OmegaTable(p=p, r=r, coeffs=tuple(c[p - 1 :]))
 
 
 def omega_by_alternating_sum(p: int, r: int, k: int) -> int:

@@ -92,6 +92,14 @@ class TestBoundElementaryAbelian:
                 mid = omega_by_convolution(p, r).value(r * (p - 1) // 2)
                 assert report.best_bound >= 1 + b1_g * mid - p**r
 
+    def test_refusals(self):
+        with pytest.raises(ValueError, match=r"^modulus must be a prime integer, got 4$"):
+            bound_elementary_abelian(2, 1, 4, 2)
+        with pytest.raises(ValueError, match=r"^r must be at least 1$"):
+            bound_elementary_abelian(2, 1, 3, 0)
+        with pytest.raises(fpexact.CapExceededError, match=r"^degree r\(p-1\) = 12000 above cap 10000$"):
+            bound_elementary_abelian(2, 1, 3, 6000)
+
     def test_with_actual(self):
         report = bound_elementary_abelian(2, 1, 2, 2)
         checked = with_actual(report, 2)

@@ -12,7 +12,29 @@ from hcc.omega import (
 )
 
 
+def iterated_convolution(p, r):
+    """The coefficients of (1 + x + ... + x^{p-1})^r, multiplying by the window once per factor."""
+    coeffs = [1]
+    for _ in range(r):
+        coeffs = [sum(coeffs[max(0, m - p + 1) : m + 1]) for m in range(len(coeffs) + p - 1)]
+    return tuple(coeffs)
+
+
 class TestConvolution:
+    def test_recurrence_equals_iterated_convolution(self):
+        for p in (2, 3, 5, 7, 11, 13):
+            for r in range(1, 30):
+                assert omega_by_convolution(p, r).coeffs == iterated_convolution(p, r), (p, r)
+
+    def test_largest_p2_table_is_binomial(self):
+        try:
+            t = omega_by_convolution(2, 10_000)
+            for k in (0, 1, 2, 17, 999, 4_999, 5_000, 5_001, 7_777, 9_998, 9_999, 10_000):
+                assert t.value(k) == math.comb(10_000, k), k
+                assert t.pi(k) == 9_999 * t.coeffs[k] - sum(t.coeffs[k + 1 :]), k
+        finally:
+            omega_by_convolution.cache_clear()  # the session keeps no 10,001-entry table
+
     def test_rank_one_all_ones(self):
         for p in (2, 3, 5, 7):
             assert omega_by_convolution(p, 1).coeffs == (1,) * p
